@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"plumber/internal/stats"
@@ -65,6 +66,21 @@ func (c Catalog) TotalExamples() int64 {
 // FileName returns the canonical shard path for index i.
 func (c Catalog) FileName(i int) string {
 	return fmt.Sprintf("/data/%s/%s-%05d-of-%05d.tfrecord", c.Name, c.Name, i, c.NumFiles)
+}
+
+// CatalogOfPath returns the catalog whose shard directory holds path (the
+// "<catalog>" of "/data/<catalog>/…"), or "" for paths outside every
+// catalog directory.
+func CatalogOfPath(path string) string {
+	rest, ok := strings.CutPrefix(path, "/data/")
+	if !ok {
+		return ""
+	}
+	name, _, ok := strings.Cut(rest, "/")
+	if !ok {
+		return ""
+	}
+	return name
 }
 
 // FileNames returns the materialized shard paths (all of them, or the

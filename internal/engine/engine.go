@@ -6,10 +6,11 @@
 // CPU timers stop when an iterator calls into its child, and statistics
 // about each yielded element are attributed to its producer.
 //
-// The engine is the "real" substrate: unit tests, integration tests, and the
-// runnable examples use it with small synthetic catalogs. The large Setup
-// A/B/C experiments run on the discrete-event simulator (internal/sim),
-// which consumes the same graph spec and emits the same trace.Snapshot.
+// The engine is the only execution substrate: unit tests, integration
+// tests, the benchmarks, and the CLI all run pipelines on it, over small
+// synthetic catalogs served through a storage connector. There is no
+// separate simulator; scale comes from the catalogs' declared sizes and
+// the analyzer's subsample rescaling.
 package engine
 
 import (

@@ -7,7 +7,8 @@
 // operational model, allocated against §5.2's resource ceilings) one level
 // up.
 // Each tenant is traced exactly once (the planner's whole point is that one
-// trace suffices); the cross-tenant core split is then solved by
+// trace suffices), a batch of new tenants all at once on one shared pool at
+// even shares (AddAll); the cross-tenant core split is then solved by
 // water-filling on every tenant's predicted rate curve — the marginal value
 // of one more core for tenant t at share c is w_t·(X_t(c+1) − X_t(c)),
 // where X_t is ops.PredictObservedRate evaluated on the plan that
@@ -33,9 +34,13 @@
 package host
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -127,8 +132,9 @@ type Decision struct {
 	// and EvenSplitPredictedWeightedAggregate its weighted counterpart.
 	EvenSplitPredictedAggregate         float64 `json:"even_split_predicted_aggregate"`
 	EvenSplitPredictedWeightedAggregate float64 `json:"even_split_predicted_weighted_aggregate"`
-	// TracesUsed counts planning traces consumed so far across the
-	// arbiter's lifetime (one per tenant, ever).
+	// TracesUsed counts the planning traces of every tenant ever admitted
+	// (one per tenant, ever); traces of a batch that failed to admit are
+	// not counted.
 	TracesUsed int `json:"traces_used"`
 }
 
@@ -203,34 +209,73 @@ func (a *Arbiter) Budget() plan.Budget {
 }
 
 // Add traces the new tenant once, admits it, and re-arbitrates the whole
-// set. Incumbent tenants are not re-traced. It fails when the name is
-// taken, the trace fails, or admission would leave fewer than one core per
-// tenant.
+// set: AddAll of a one-tenant batch, so its planning trace runs on a pool
+// of the whole core budget.
 func (a *Arbiter) Add(t Tenant) (*Decision, error) {
-	if t.Name == "" {
-		return nil, fmt.Errorf("host: tenant needs a name")
-	}
-	if t.Graph == nil || (t.FS == nil && t.Source == nil) {
-		return nil, fmt.Errorf("host: tenant %q needs a graph and a storage source", t.Name)
+	return a.AddAll([]Tenant{t})
+}
+
+// AddAll traces every new tenant once, admits them together, and
+// re-arbitrates the whole set once. Incumbent tenants are not re-traced.
+//
+// Every tenant is validated before any trace runs: it needs a unique name
+// (among incumbents and within the batch), a valid graph, and a storage
+// source, and the grown set must still fit one core per tenant. The
+// planning traces then run concurrently as tenants of one
+// engine.SharedPool sized to the core budget, each guaranteed an even
+// share (Cores/N, the remainder one each to the first tenants) and
+// borrowing whatever the others leave idle. Each snapshot records that
+// share as Machine.Cores, so the tenant is calibrated under roughly the
+// share it will be priced at. Tenants that read a common catalog through
+// the same store cannot be told apart by their collectors, so they trace
+// in separate waves; everyone else traces at once. A failed trace cancels
+// the rest, and no tenant is admitted unless every trace succeeds.
+func (a *Arbiter) AddAll(ts []Tenant) (*Decision, error) {
+	if len(ts) == 0 {
+		return nil, fmt.Errorf("host: AddAll needs at least one tenant")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, ts := range a.tenants {
-		if ts.Name == t.Name {
-			return nil, fmt.Errorf("host: tenant %q already admitted", t.Name)
+	if err := a.validateLocked(ts); err != nil {
+		return nil, err
+	}
+	states := make([]*tenantState, len(ts))
+	for _, wave := range traceWaves(ts) {
+		if err := a.traceWave(ts, wave, states); err != nil {
+			return nil, err
 		}
 	}
-	if len(a.tenants)+1 > a.budget.Cores {
-		return nil, fmt.Errorf("host: %d tenants need at least one core each, budget has %d",
-			len(a.tenants)+1, a.budget.Cores)
-	}
-	src := t.source()
-	an, err := a.traceTenant(t, src)
-	if err != nil {
-		return nil, fmt.Errorf("host: trace tenant %q: %w", t.Name, err)
-	}
-	a.tenants = append(a.tenants, &tenantState{Tenant: t, analysis: an, src: src})
+	a.tenants = append(a.tenants, states...)
+	a.traces += len(states)
 	return a.arbitrateLocked()
+}
+
+// validateLocked checks a batch against the incumbents before anything is
+// traced.
+func (a *Arbiter) validateLocked(ts []Tenant) error {
+	taken := make(map[string]bool, len(a.tenants)+len(ts))
+	for _, t := range a.tenants {
+		taken[t.Name] = true
+	}
+	for _, t := range ts {
+		if t.Name == "" {
+			return fmt.Errorf("host: tenant needs a name")
+		}
+		if t.Graph == nil || (t.FS == nil && t.Source == nil) {
+			return fmt.Errorf("host: tenant %q needs a graph and a storage source", t.Name)
+		}
+		if taken[t.Name] {
+			return fmt.Errorf("host: tenant %q already admitted", t.Name)
+		}
+		taken[t.Name] = true
+		if err := t.Graph.Validate(); err != nil {
+			return fmt.Errorf("host: tenant %q: %w", t.Name, err)
+		}
+	}
+	if n := len(a.tenants) + len(ts); n > a.budget.Cores {
+		return fmt.Errorf("host: %d tenants need at least one core each, budget has %d", n, a.budget.Cores)
+	}
+	return nil
 }
 
 // Remove evicts the named tenant and re-arbitrates the remainder. Removing
@@ -571,31 +616,151 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 	return dec, nil
 }
 
-// traceTenant runs the tenant's one planning trace and operationalizes it,
-// mirroring the façade's Trace + Analyze without importing it. All reads go
-// through the tenant's storage connector.
-func (a *Arbiter) traceTenant(t Tenant, src connector.Connector) (*ops.Analysis, error) {
-	if err := t.Graph.Validate(); err != nil {
-		return nil, err
+// errPeerTraceFailed is the cancellation cause a wave's surviving traces
+// see when another trace in the wave failed; it is never reported itself.
+var errPeerTraceFailed = errors.New("host: another planning trace failed")
+
+// traceWaves groups a batch into waves that trace one after another.
+// Collectors attribute reads by path, so two tenants reading a common
+// catalog through the same store would count each other's bytes: they go
+// to different waves. Every other tenant joins the first wave it does not
+// conflict with — for distinct catalogs or stores, the first.
+func traceWaves(ts []Tenant) [][]int {
+	cats := make([]map[string]bool, len(ts))
+	for i, t := range ts {
+		cats[i] = make(map[string]bool)
+		srcs, _ := t.Graph.Sources() // validated already
+		for _, n := range srcs {
+			cats[i][n.Catalog] = true
+		}
 	}
-	col, err := trace.NewCollector(t.Graph, trace.Machine{Name: "host", Cores: a.budget.Cores})
+	conflict := func(i, j int) bool {
+		if !sameStore(ts[i].store(), ts[j].store()) {
+			return false
+		}
+		for c := range cats[i] {
+			if cats[j][c] {
+				return true
+			}
+		}
+		return false
+	}
+	var waves [][]int
+next:
+	for i := range ts {
+		for w, wave := range waves {
+			if !slices.ContainsFunc(wave, func(j int) bool { return conflict(i, j) }) {
+				waves[w] = append(wave, i)
+				continue next
+			}
+		}
+		waves = append(waves, []int{i})
+	}
+	return waves
+}
+
+// store identifies what the tenant's reads come from: the simulated
+// filesystem for a simfs tenant however it is wired (FS, or Source wrapping
+// it), else the connector itself.
+func (t *Tenant) store() any {
+	if s, ok := t.Source.(*connector.SimFS); ok {
+		return s.FS
+	}
+	if t.Source != nil {
+		return t.Source
+	}
+	return t.FS
+}
+
+// sameStore reports whether two stores are the same value. Values that
+// cannot be compared count as the same, which only serializes their traces.
+func sameStore(x, y any) bool {
+	tx, ty := reflect.TypeOf(x), reflect.TypeOf(y)
+	if tx != ty {
+		return false
+	}
+	if !tx.Comparable() {
+		return true
+	}
+	return x == y
+}
+
+// traceWave runs one wave's planning traces at once on a shared pool of the
+// core budget, each tenant guaranteed an even share, and fills out[i] for
+// every tenant i of the wave. The first failure cancels the wave's other
+// traces; the error names every tenant whose own trace failed.
+func (a *Arbiter) traceWave(ts []Tenant, wave []int, out []*tenantState) error {
+	pool := engine.NewSharedPool(a.budget.Cores)
+	shares := make([]int, len(wave))
+	for k, i := range wave {
+		shares[k] = a.budget.Cores / len(wave)
+		if k < a.budget.Cores%len(wave) {
+			shares[k]++
+		}
+		if err := pool.Admit(ts[i].Name, shares[k]); err != nil {
+			return err
+		}
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	errs := make([]error, len(wave))
+	var wg sync.WaitGroup
+	for k, i := range wave {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := ts[i].source()
+			an, err := traceTenant(ctx, ts[i], src, pool, shares[k])
+			if err != nil {
+				errs[k] = fmt.Errorf("host: trace tenant %q: %w", ts[i].Name, err)
+				cancel(errPeerTraceFailed)
+				return
+			}
+			out[i] = &tenantState{Tenant: ts[i], analysis: an, src: src}
+		}()
+	}
+	wg.Wait()
+	var failed []error
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, errPeerTraceFailed) {
+			failed = append(failed, err)
+		}
+	}
+	return errors.Join(failed...)
+}
+
+// traceTenant runs the tenant's one planning trace as a tenant of pool
+// guaranteed share slots, and operationalizes it, mirroring the façade's
+// Trace + Analyze without importing it. All reads go through the tenant's
+// storage connector. The snapshot records share as Machine.Cores — capped
+// at GOMAXPROCS when the trace spins its modeled CPU for real — so the
+// analysis calibrates against the cores the trace actually had.
+func traceTenant(ctx context.Context, t Tenant, src connector.Connector, pool *engine.SharedPool, share int) (*ops.Analysis, error) {
+	cores := share
+	if t.Spin {
+		cores = min(cores, runtime.GOMAXPROCS(0))
+	}
+	col, err := trace.NewCollector(t.Graph, trace.Machine{Name: "host", Cores: cores})
 	if err != nil {
 		return nil, err
 	}
+	col.SetTenant(t.Name)
 	src.AddObserver(col)
 	defer src.RemoveObserver(col)
 	p, err := engine.New(t.Graph, engine.Options{
-		FS:        src,
-		UDFs:      t.UDFs,
-		Collector: col,
-		WorkScale: t.WorkScale,
-		Spin:      t.Spin,
-		Seed:      t.Seed,
+		FS:         src,
+		UDFs:       t.UDFs,
+		Collector:  col,
+		WorkScale:  t.WorkScale,
+		Spin:       t.Spin,
+		Seed:       t.Seed,
+		Pool:       pool,
+		PoolTenant: t.Name,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := p.Drain(t.MaxMinibatches); err != nil {
+	if _, _, err := p.DrainCtx(ctx, t.MaxMinibatches); err != nil {
 		p.Close()
 		return nil, err
 	}
@@ -614,6 +779,5 @@ func (a *Arbiter) traceTenant(t Tenant, src connector.Connector) (*ops.Analysis,
 		}
 		totalFiles += cat.NumFiles
 	}
-	a.traces++
 	return ops.Analyze(col.Snapshot(0, totalFiles), t.UDFs)
 }

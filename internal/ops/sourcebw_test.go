@@ -100,8 +100,8 @@ func TestDiskBoundWithSources(t *testing.T) {
 func TestEfficiencyWithSourcesMatchesScalar(t *testing.T) {
 	a := whatifAnalysis()
 	for _, bw := range []float64{0, 10e6, 1e9} {
-		scalar := a.Efficiency(4, bw)
-		withNil := a.EfficiencyWithSources(4, bw, nil)
+		scalar := a.Efficiency(bw)
+		withNil := a.EfficiencyWithSources(bw, nil)
 		if scalar != withNil {
 			t.Fatalf("bw %v: EfficiencyWithSources(nil) = %v, want %v", bw, withNil, scalar)
 		}

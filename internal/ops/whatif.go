@@ -103,21 +103,24 @@ func (a *Analysis) PredictRate(h Hypothetical) float64 {
 
 // Efficiency is the calibration factor relating the model to this host:
 // ObservedRate divided by PredictRate of the as-traced shape under the
-// given resource bounds. Engine overhead, scheduling, and cores the host
-// cannot actually deliver all land in this single scalar, which
-// PredictObservedRate multiplies back in. Returns 1 when the as-traced
-// shape has no finite modeled bound to calibrate against.
-func (a *Analysis) Efficiency(cores int, diskBandwidth float64) float64 {
-	return a.EfficiencyWithSources(cores, diskBandwidth, nil)
+// resources the trace actually ran with — TraceCores, and the given disk
+// bandwidth. Engine overhead and scheduling land in this single scalar,
+// which PredictObservedRate multiplies back in. Calibrating at the trace's
+// own cores, not at the hypothetical's, keeps the scalar a property of the
+// trace: a trace whose stages overlapped on two cores is not credited with
+// that overlap again when the model is asked about one core. Returns 1 when
+// the as-traced shape has no finite modeled bound to calibrate against.
+func (a *Analysis) Efficiency(diskBandwidth float64) float64 {
+	return a.EfficiencyWithSources(diskBandwidth, nil)
 }
 
 // EfficiencyWithSources is Efficiency with per-source bandwidth hints
 // applied to the as-traced baseline, so calibration and prediction see the
 // same storage model. A nil map reproduces Efficiency exactly.
-func (a *Analysis) EfficiencyWithSources(cores int, diskBandwidth float64, src map[string]float64) float64 {
+func (a *Analysis) EfficiencyWithSources(diskBandwidth float64, src map[string]float64) float64 {
 	base := a.PredictRate(Hypothetical{
 		OuterParallelism: a.Snapshot.Graph.OuterParallelism,
-		Cores:            cores,
+		Cores:            a.TraceCores(),
 		DiskBandwidth:    diskBandwidth,
 		SourceBandwidth:  src,
 	})
@@ -127,6 +130,12 @@ func (a *Analysis) EfficiencyWithSources(cores int, diskBandwidth float64, src m
 	return a.ObservedRate / base
 }
 
+// TraceCores is the core count the trace ran with, as its snapshot
+// records it (Machine.Cores): the pool share for a pooled planning trace,
+// capped at GOMAXPROCS for one that spun its modeled CPU. 0 means
+// unbounded.
+func (a *Analysis) TraceCores() int { return a.Snapshot.Machine.Cores }
+
 // PredictObservedRate is the what-if prediction a verifying trace should
 // reproduce: PredictRate scaled by the Efficiency calibration. +Inf (an
 // unbounded model) passes through unscaled.
@@ -135,5 +144,5 @@ func (a *Analysis) PredictObservedRate(h Hypothetical) float64 {
 	if math.IsInf(r, 1) {
 		return r
 	}
-	return a.EfficiencyWithSources(h.Cores, h.DiskBandwidth, h.SourceBandwidth) * r
+	return a.EfficiencyWithSources(h.DiskBandwidth, h.SourceBandwidth) * r
 }

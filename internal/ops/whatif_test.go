@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 	"testing"
+	"time"
 
 	"plumber/internal/pipeline"
 	"plumber/internal/trace"
@@ -108,7 +109,7 @@ func TestPredictRateOuterParallelism(t *testing.T) {
 func TestEfficiencyCalibratesPredictions(t *testing.T) {
 	a := whatifAnalysis()
 	// ObservedRate 50 against the as-traced bound 100 -> efficiency 0.5.
-	if got := a.Efficiency(0, 0); got != 0.5 {
+	if got := a.Efficiency(0); got != 0.5 {
 		t.Fatalf("efficiency = %v, want 0.5", got)
 	}
 	// The calibrated what-if prediction scales the raw bound by it.
@@ -120,5 +121,52 @@ func TestEfficiencyCalibratesPredictions(t *testing.T) {
 	got = a.PredictObservedRate(Hypothetical{CacheAbove: "map_1", WarmCache: true})
 	if !math.IsInf(got, 1) {
 		t.Fatalf("unbounded prediction = %v, want +Inf", got)
+	}
+}
+
+// TestCalibrationUsesTraceCores pins calibration to the cores the trace ran
+// with. Two parallelism-1 stages, each busy for the whole one-second trace,
+// overlapped on the trace's two cores: the as-traced model explains the
+// observed rate exactly (efficiency 1). Asked about one core, the
+// prediction must respect the one-core CPU bound — calibrating at the
+// hypothetical's one core instead would credit the trace's overlap as a 2x
+// "efficiency" and predict the two-core rate on one core.
+func TestCalibrationUsesTraceCores(t *testing.T) {
+	g := pipeline.NewBuilder().
+		Interleave("cat", 1).
+		Map("decode", 1).
+		Batch(8).
+		MustBuild()
+	const elements = 8000
+	snap := &trace.Snapshot{
+		Graph:    g,
+		Machine:  trace.Machine{Name: "overlap", Cores: 2},
+		Duration: time.Second,
+		Nodes: map[string]*trace.NodeStats{
+			"interleave_1": {Name: "interleave_1", Kind: pipeline.KindInterleave, Parallelism: 1,
+				ElementsProduced: elements, CPUNanos: int64(time.Second)},
+			"map_1": {Name: "map_1", Kind: pipeline.KindMap, Parallelism: 1,
+				ElementsProduced: elements, ElementsConsumed: elements, CPUNanos: int64(time.Second)},
+			"batch_1": {Name: "batch_1", Kind: pipeline.KindBatch, Parallelism: 1,
+				ElementsProduced: elements / 8, ElementsConsumed: elements},
+		},
+	}
+	a, err := Analyze(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.TraceCores() != 2 {
+		t.Fatalf("trace cores = %d, want the snapshot's 2", a.TraceCores())
+	}
+	eff := a.Efficiency(0)
+	if math.Abs(eff-1) > 1e-9 {
+		t.Fatalf("efficiency = %v, want 1: two busy stages on two cores are fully explained", eff)
+	}
+	oneCore := a.PredictObservedRate(Hypothetical{Cores: 1})
+	if bound := a.CPUBoundMinibatchesPerSec(1) * eff; oneCore > bound*(1+1e-9) {
+		t.Fatalf("one-core prediction %.1f exceeds the one-core CPU bound × efficiency %.1f", oneCore, bound)
+	}
+	if want := a.ObservedRate / 2; math.Abs(oneCore-want) > 1e-6*want {
+		t.Fatalf("one-core prediction %.1f, want half the two-core observation %.1f", oneCore, want)
 	}
 }

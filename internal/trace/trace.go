@@ -20,11 +20,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"plumber/internal/data"
 	"plumber/internal/pipeline"
 	"plumber/internal/simfs"
 )
@@ -203,10 +203,10 @@ type Collector struct {
 	start   time.Time
 	profile *simfs.BandwidthProfile
 
-	// sourceName attributes filesystem reads on a single-source graph;
-	// sourceOfCatalog disambiguates multi-branch graphs by matching the
-	// catalog directory component in the file path.
-	sourceName      string
+	// sourceOfCatalog attributes filesystem reads to the source node whose
+	// catalog directory holds the path; reads outside every one of the
+	// graph's catalogs belong to someone else's pipeline on the same
+	// connector and are ignored.
 	sourceOfCatalog map[string]string
 }
 
@@ -227,7 +227,6 @@ func NewCollector(graph *pipeline.Graph, machine Machine) (*Collector, error) {
 	for _, n := range order {
 		c.nodes[n.Name] = &NodeStats{Name: n.Name, Kind: n.Kind, Parallelism: n.EffectiveParallelism()}
 		if n.IsSource() {
-			c.sourceName = n.Name
 			c.sourceOfCatalog[n.Catalog] = n.Name
 		}
 	}
@@ -261,7 +260,6 @@ func (c *Collector) SetGraph(g *pipeline.Graph) error {
 	c.graph = g.Clone()
 	for _, n := range order {
 		if n.IsSource() {
-			c.sourceName = n.Name
 			c.sourceOfCatalog[n.Catalog] = n.Name
 		}
 		if ns, ok := c.nodes[n.Name]; ok {
@@ -284,23 +282,19 @@ func (c *Collector) Node(name string) (*NodeStats, error) {
 	return ns, nil
 }
 
-// ObserveRead implements simfs.ReadObserver: reads are recorded in the
-// filename map and attributed to a source node. With multiple sources the
-// read is matched to the source whose catalog names a directory component
-// of the path (catalog files live under ".../<catalog>/..."); unmatched
-// paths fall back to the last source, preserving single-source behavior.
+// ObserveRead implements simfs.ReadObserver: a read of a file under one of
+// the graph's catalog directories ("/data/<catalog>/…") is recorded in the
+// filename map and attributed to that catalog's source node. Every other
+// read is ignored, so pipelines sharing one connector — concurrent planning
+// traces, a traced multi-tenant run — never count each other's bytes.
 func (c *Collector) ObserveRead(path string, n int64) {
 	c.mu.Lock()
-	c.files[path] += n
-	src := c.sourceName
-	if len(c.sourceOfCatalog) > 1 {
-		for cat, name := range c.sourceOfCatalog {
-			if strings.Contains(path, "/"+cat+"/") {
-				src = name
-				break
-			}
-		}
+	src, ok := c.sourceOfCatalog[data.CatalogOfPath(path)]
+	if !ok {
+		c.mu.Unlock()
+		return
 	}
+	c.files[path] += n
 	ns := c.nodes[src]
 	c.mu.Unlock()
 	if ns != nil {

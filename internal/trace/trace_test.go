@@ -146,3 +146,31 @@ func TestUnmarshalSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("expected error on malformed snapshot JSON")
 	}
 }
+
+// TestObserveReadCountsOnlyOwnCatalogs pins read attribution on a shared
+// connector: a collector counts only files under its own graph's catalog
+// directories, so a second pipeline reading through the same connector
+// cannot inflate its bytes or file map — with one source as with several.
+func TestObserveReadCountsOnlyOwnCatalogs(t *testing.T) {
+	g, err := pipeline.NewBuilder().Interleave("cat", 1).Batch(8).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := NewCollector(g, Machine{Name: "test", Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.ObserveRead("/data/cat/cat-00000-of-00002.tfrecord", 100)
+	col.ObserveRead("/data/other/other-00000-of-00002.tfrecord", 7000)
+	col.ObserveRead("/data/cat2/cat2-00000-of-00002.tfrecord", 9000)
+	col.ObserveRead("/scratch/cat/stray.tfrecord", 500)
+	col.ObserveRead("/data/cat/cat-00000-of-00002.tfrecord", 20)
+	snap := col.Snapshot(time.Second, 2)
+	if got := snap.Nodes["interleave_1"].BytesRead; got != 120 {
+		t.Fatalf("source BytesRead = %d, want 120 (only its own catalog's reads)", got)
+	}
+	want := map[string]int64{"/data/cat/cat-00000-of-00002.tfrecord": 120}
+	if !reflect.DeepEqual(snap.Files, want) {
+		t.Fatalf("files = %v, want %v", snap.Files, want)
+	}
+}

@@ -45,7 +45,9 @@ type Options struct {
 	// that gates caching. Optional when the graph uses no UDF nodes.
 	UDFs *udf.Registry
 	// Machine labels emitted snapshots; zero values are filled with
-	// sensible defaults ("plumber", runtime.NumCPU cores).
+	// sensible defaults ("plumber", runtime.NumCPU cores). A spun trace
+	// records at most GOMAXPROCS cores: the cores it could actually run on,
+	// which is what the analysis calibrates against.
 	Machine trace.Machine
 	// Seed drives shuffles and randomized UDFs.
 	Seed uint64
@@ -146,7 +148,14 @@ func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	col, err := trace.NewCollector(g, opts.Machine)
+	machine := opts.Machine
+	if opts.Spin {
+		// A spun trace burns its modeled CPU for real, so it ran on at most
+		// the cores the runtime schedules — and calibration reads the
+		// snapshot's Machine.Cores as the cores the trace had.
+		machine.Cores = min(machine.Cores, runtime.GOMAXPROCS(0))
+	}
+	col, err := trace.NewCollector(g, machine)
 	if err != nil {
 		return nil, err
 	}
