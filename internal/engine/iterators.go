@@ -194,7 +194,7 @@ func (s *sourceIter) start() {
 	if s.init != nil {
 		tasks = s.init.tasks
 	} else {
-		files := s.cat.FileNames()
+		files := s.files()
 		tasks = make([]fileTask, len(files))
 		for i, f := range files {
 			tasks[i] = fileTask{path: f}
@@ -214,6 +214,17 @@ func (s *sourceIter) start() {
 		s.wg.Wait()
 		s.out.close()
 	}()
+}
+
+// files returns the shards one pass of this source reads: every
+// materialized shard, or under Options.FileSample the first ⌈k/2⌉ of the k
+// materialized ones.
+func (s *sourceIter) files() []string {
+	files := s.cat.FileNames()
+	if s.p.opts.FileSample {
+		files = files[:(len(files)+fileSampleDivisor-1)/fileSampleDivisor]
+	}
+	return files
 }
 
 // park records a task a quiescing worker abandoned, for capture.
@@ -242,7 +253,7 @@ func (s *sourceIter) capture(rs *resumeState) {
 		// still the full remaining stream.
 		sr.tasks = append(sr.tasks, s.init.tasks...)
 	default:
-		for _, f := range s.cat.FileNames() {
+		for _, f := range s.files() {
 			sr.tasks = append(sr.tasks, fileTask{path: f})
 		}
 		sr.fromStart = true
@@ -285,8 +296,11 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 	// whether the worker should continue with the next file; on any
 	// surfaced error the terminal item has already been emitted. The
 	// deferred Close guarantees the reader flushes its partial read
-	// accounting to observers no matter which path abandons the file.
-	stream := func(task fileTask) bool {
+	// accounting to observers no matter which path abandons the file; the
+	// collector then learns how many records the reader served and whether
+	// it reached the file's end, so only whole files count as observed.
+	col := s.p.opts.Collector
+	stream := func(task fileTask) (more bool) {
 		var r connector.Reader
 		err := rt.do("open", func() error {
 			var e error
@@ -307,6 +321,12 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 				em.add(item{err: fmt.Errorf("source: %w", err)})
 			}
 			return false
+		}
+		var served int64
+		if col != nil {
+			// Registered before the Close below, so it runs after it: the
+			// reader's last bytes reach the collector before the file does.
+			defer func() { col.ObserveFile(task.path, served, more) }()
 		}
 		defer r.Close()
 		rr := data.NewRecordReader(r)
@@ -371,6 +391,7 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 				e.Owner = ar.owner() // nil when the arena declined this size
 			}
 			idxNext++
+			served++
 			if modelCPU {
 				s.p.accountCPU(&tr.ls, parsePerByte*float64(len(rec))+parsePerElem)
 			}

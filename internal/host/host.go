@@ -7,8 +7,9 @@
 // operational model, allocated against §5.2's resource ceilings) one level
 // up.
 // Each tenant is traced exactly once (the planner's whole point is that one
-// trace suffices), a batch of new tenants all at once on one shared pool at
-// even shares (AddAll); the cross-tenant core split is then solved by
+// trace suffices) over its planning file sample — half of each catalog's
+// files, rescaled by §A — a batch of new tenants all at once on one shared
+// pool at even shares (AddAll); the cross-tenant core split is then solved by
 // water-filling on every tenant's predicted rate curve — the marginal value
 // of one more core for tenant t at share c is w_t·(X_t(c+1) − X_t(c)),
 // where X_t is ops.PredictObservedRate evaluated on the plan that
@@ -45,7 +46,6 @@ import (
 	"sync"
 
 	"plumber/internal/connector"
-	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
@@ -54,6 +54,7 @@ import (
 	"plumber/internal/simfs"
 	"plumber/internal/stats"
 	"plumber/internal/trace"
+	"plumber/internal/tracerun"
 	"plumber/internal/udf"
 )
 
@@ -83,7 +84,10 @@ type Tenant struct {
 	WorkScale float64
 	// Spin makes trace workers burn modeled CPU for real.
 	Spin bool
-	// MaxMinibatches bounds the planning trace; 0 drains one full pass.
+	// MaxMinibatches caps the planning trace; 0 drains it to EOF. The
+	// planning trace passes over a file sample — the first half of each
+	// catalog's files, rescaled to the whole dataset by the analysis (§A) —
+	// so with a cap, whichever limit comes first ends it.
 	MaxMinibatches int64
 	// DiskBandwidth is the tenant's own storage ceiling in bytes/second
 	// (e.g. the simulated device's total bandwidth); 0 means unbounded.
@@ -729,55 +733,24 @@ func (a *Arbiter) traceWave(ts []Tenant, wave []int, out []*tenantState) error {
 	return errors.Join(failed...)
 }
 
-// traceTenant runs the tenant's one planning trace as a tenant of pool
-// guaranteed share slots, and operationalizes it, mirroring the façade's
-// Trace + Analyze without importing it. All reads go through the tenant's
-// storage connector. The snapshot records share as Machine.Cores — capped
-// at GOMAXPROCS when the trace spins its modeled CPU for real — so the
-// analysis calibrates against the cores the trace actually had.
+// traceTenant runs the tenant's one planning trace — a pass over the
+// planning file sample, through the tenant's storage connector — as a
+// tenant of pool guaranteed share slots, and operationalizes it. The
+// snapshot records share as Machine.Cores (capped at GOMAXPROCS when the
+// trace spins its modeled CPU for real), so the analysis calibrates against
+// the cores the trace actually had.
 func traceTenant(ctx context.Context, t Tenant, src connector.Connector, pool *engine.SharedPool, share int) (*ops.Analysis, error) {
-	cores := share
-	if t.Spin {
-		cores = min(cores, runtime.GOMAXPROCS(0))
-	}
-	col, err := trace.NewCollector(t.Graph, trace.Machine{Name: "host", Cores: cores})
-	if err != nil {
-		return nil, err
-	}
-	col.SetTenant(t.Name)
-	src.AddObserver(col)
-	defer src.RemoveObserver(col)
-	p, err := engine.New(t.Graph, engine.Options{
+	snap, err := tracerun.Run(ctx, t.Graph, engine.Options{
 		FS:         src,
 		UDFs:       t.UDFs,
-		Collector:  col,
 		WorkScale:  t.WorkScale,
 		Spin:       t.Spin,
 		Seed:       t.Seed,
 		Pool:       pool,
 		PoolTenant: t.Name,
-	})
+	}, trace.Machine{Name: "host", Cores: share}, t.MaxMinibatches, true)
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := p.DrainCtx(ctx, t.MaxMinibatches); err != nil {
-		p.Close()
-		return nil, err
-	}
-	if err := p.Close(); err != nil {
-		return nil, err
-	}
-	srcs, err := t.Graph.Sources()
-	if err != nil {
-		return nil, err
-	}
-	totalFiles := 0
-	for _, sn := range srcs {
-		cat, err := data.CatalogByName(sn.Catalog)
-		if err != nil {
-			return nil, err
-		}
-		totalFiles += cat.NumFiles
-	}
-	return ops.Analyze(col.Snapshot(0, totalFiles), t.UDFs)
+	return ops.Analyze(snap, t.UDFs)
 }

@@ -122,8 +122,8 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 		a.DatasetBytes = observed
 	}
 
-	// Pass 1 (root -> source direction conceptually, but computable in one
-	// sweep): visit ratios and rates.
+	// Pass 1: visit ratios, chained root -> sources, then rates.
+	visits := visitRatios(chain, statsChain, rootCompletions)
 	nodes := make([]NodeAnalysis, len(chain))
 	for i, n := range chain {
 		ns := statsChain[i]
@@ -135,7 +135,7 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			Completions:    ns.ElementsProduced,
 			CPUSeconds:     ns.CPUSeconds(),
 		}
-		na.VisitRatio = float64(ns.ElementsProduced) / rootCompletions
+		na.VisitRatio = visits[n.Name]
 		if na.CPUSeconds > 0 {
 			na.LocalRate = float64(ns.ElementsProduced) / na.CPUSeconds
 		} else {
@@ -147,8 +147,17 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			na.Rate = math.Inf(1)
 		}
 		na.ScaledCapacity = float64(na.Parallelism) * na.Rate
-		if n.IsSource() && rootCompletions > 0 {
-			na.IOBytesPerMinibatch = float64(ns.BytesRead) / rootCompletions
+		if n.IsSource() && ns.BytesRead > 0 {
+			// Bytes per record from the files read to their end (from the
+			// counters when none was), so neither records in flight nor
+			// the reader's unflushed tail skew the per-minibatch cost.
+			bytes, records := snap.SourceFiles(n.Catalog)
+			if records == 0 {
+				bytes, records = ns.BytesRead, ns.ElementsProduced
+			}
+			if records > 0 {
+				na.IOBytesPerMinibatch = na.VisitRatio * float64(bytes) / float64(records)
+			}
 		}
 		if ns.ElementsProduced > 0 {
 			na.BytesPerElement = float64(ns.BytesProduced) / float64(ns.ElementsProduced)
@@ -158,17 +167,12 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 
 	// Pass 2 (source -> root, in topo order so every input precedes its
 	// consumer): cardinality and materialization (§A 2). A source's
-	// cardinality is its share of the estimated dataset bytes times its
-	// records-per-byte; every other node derives its cardinality from its
-	// inputs' — most multiply by the local input/output completion ratio,
-	// Zip pairs (min over inputs), Concat appends (sum over inputs).
-	// Infinite Repeat makes everything above it uncacheable.
-	var totalRead float64
-	for i, n := range chain {
-		if n.IsSource() {
-			totalRead += float64(statsChain[i].BytesRead)
-		}
-	}
+	// cardinality is the estimated dataset bytes times its records per
+	// observed byte, both from the files read to their end; every other
+	// node derives its cardinality from its inputs' — most multiply by the
+	// local input/output completion ratio, Zip pairs (min over inputs),
+	// Concat appends (sum over inputs). Infinite Repeat makes everything
+	// above it uncacheable.
 	card := make(map[string]float64, len(chain))
 	for i := range nodes {
 		n := chain[i]
@@ -176,10 +180,9 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 		var c float64
 		switch {
 		case n.IsSource():
-			// share of DatasetBytes × records-per-byte; the BytesRead
-			// terms cancel into produced_i / totalRead.
-			if totalRead > 0 {
-				c = a.DatasetBytes * float64(ns.ElementsProduced) / totalRead
+			if observed > 0 {
+				_, records := snap.SourceFiles(n.Catalog)
+				c = a.DatasetBytes * float64(records) / observed
 			}
 		case n.Kind == pipeline.KindRepeat && n.Count < 0:
 			c = math.Inf(1)
@@ -257,6 +260,39 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 
 	a.Nodes = nodes
 	return a, nil
+}
+
+// visitRatios returns V_i for every node, chained down from the root
+// (V = 1): a node's inputs together make V × consumed/produced visits per
+// root completion, split among them by what each produced. These local
+// ratios describe the stage itself, so elements a bounded trace leaves in
+// flight between stages — produced below, never consumed above — do not
+// inflate the ratios beneath them. An input whose consumer pulled nothing
+// at all falls back to its own completions per root completion.
+func visitRatios(chain []pipeline.Node, statsChain []*trace.NodeStats, rootCompletions float64) map[string]float64 {
+	produced := make(map[string]float64, len(chain))
+	for i, n := range chain {
+		produced[n.Name] = float64(statsChain[i].ElementsProduced)
+	}
+	root := len(chain) - 1
+	v := map[string]float64{chain[root].Name: 1}
+	for i := root; i >= 0; i-- {
+		n, ns := chain[i], statsChain[i]
+		ins := n.InputNames()
+		var fromInputs float64
+		for _, in := range ins {
+			fromInputs += produced[in]
+		}
+		for _, in := range ins {
+			if ns.ElementsConsumed == 0 || ns.ElementsProduced == 0 || fromInputs == 0 {
+				v[in] += produced[in] / rootCompletions
+				continue
+			}
+			local := float64(ns.ElementsConsumed) / float64(ns.ElementsProduced)
+			v[in] += v[n.Name] * local * produced[in] / fromInputs
+		}
+	}
+	return v
 }
 
 // AtOrBelow returns the set of node names at or below the named node — the

@@ -19,6 +19,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,8 +107,13 @@ type Snapshot struct {
 	Duration time.Duration `json:"duration"`
 	// Nodes holds per-node counters keyed by node name.
 	Nodes map[string]*NodeStats `json:"nodes"`
-	// Files maps observed filename -> framed bytes consumed to EOF.
+	// Files maps each file a source read to its end -> the framed bytes
+	// those reads consumed. A file a bounded trace left half-read is not in
+	// it: it would pass for a small whole file in the §A rescale.
 	Files map[string]int64 `json:"files"`
+	// FileRecords maps the same files -> the records those reads served,
+	// the records-per-byte the analyzer projects source cardinality with.
+	FileRecords map[string]int64 `json:"file_records,omitempty"`
 	// TotalFiles is the catalog's total shard count (known from the
 	// serialized program), used to rescale subsampled size estimates.
 	TotalFiles int `json:"total_files"`
@@ -119,11 +125,11 @@ type Snapshot struct {
 // node counter is subtracted pairwise (nodes absent from prev — e.g. a cache
 // inserted by a live reconfiguration — contribute their full counts), and
 // Duration is the interval between the two capture times. Gauges
-// (Parallelism) keep s's current value; Files and TotalFiles are carried
-// over as cumulative high-water state rather than differenced, since the
-// analyzer uses them for dataset-size estimation, not rates. Counters are
-// monotonic, so a delta between two snapshots of the same collector never
-// goes negative.
+// (Parallelism) keep s's current value; Files, FileRecords and TotalFiles
+// are carried over as cumulative high-water state rather than differenced,
+// since the analyzer uses them for dataset-size estimation, not rates.
+// Counters are monotonic, so a delta between two snapshots of the same
+// collector never goes negative.
 func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 	out := &Snapshot{
 		Tenant:      s.Tenant,
@@ -131,7 +137,8 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		Machine:     s.Machine,
 		Duration:    s.Duration - prev.Duration,
 		Nodes:       make(map[string]*NodeStats, len(s.Nodes)),
-		Files:       make(map[string]int64, len(s.Files)),
+		Files:       maps.Clone(s.Files),
+		FileRecords: maps.Clone(s.FileRecords),
 		TotalFiles:  s.TotalFiles,
 		DiskProfile: s.DiskProfile,
 	}
@@ -152,9 +159,6 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		}
 		out.Nodes[name] = &cp
 	}
-	for p, b := range s.Files {
-		out.Files[p] = b
-	}
 	return out
 }
 
@@ -174,6 +178,18 @@ func (s *Snapshot) ObservedFileBytes() int64 {
 		total += b
 	}
 	return total
+}
+
+// SourceFiles sums the bytes and records of the catalog's files read to
+// their end.
+func (s *Snapshot) SourceFiles(catalog string) (bytes, records int64) {
+	for p, b := range s.Files {
+		if data.CatalogOfPath(p) == catalog {
+			bytes += b
+			records += s.FileRecords[p]
+		}
+	}
+	return bytes, records
 }
 
 // Marshal serializes the snapshot to JSON.
@@ -197,9 +213,13 @@ type Collector struct {
 	machine Machine
 	tenant  string
 
-	mu      sync.Mutex
-	nodes   map[string]*NodeStats
-	files   map[string]int64
+	mu          sync.Mutex
+	nodes       map[string]*NodeStats
+	files       map[string]int64
+	fileRecords map[string]int64
+	// reading holds what readers have served of files no reader has yet
+	// finished: it moves to files/fileRecords when one reaches EOF.
+	reading map[string]fileRead
 	start   time.Time
 	profile *simfs.BandwidthProfile
 
@@ -209,6 +229,9 @@ type Collector struct {
 	// connector and are ignored.
 	sourceOfCatalog map[string]string
 }
+
+// fileRead is what has been read of one file since it was last finished.
+type fileRead struct{ bytes, records int64 }
 
 // NewCollector returns a collector for one run of graph on machine.
 func NewCollector(graph *pipeline.Graph, machine Machine) (*Collector, error) {
@@ -221,6 +244,8 @@ func NewCollector(graph *pipeline.Graph, machine Machine) (*Collector, error) {
 		machine:         machine,
 		nodes:           make(map[string]*NodeStats, len(order)),
 		files:           make(map[string]int64),
+		fileRecords:     make(map[string]int64),
+		reading:         make(map[string]fileRead),
 		start:           time.Now(),
 		sourceOfCatalog: make(map[string]string),
 	}
@@ -283,10 +308,11 @@ func (c *Collector) Node(name string) (*NodeStats, error) {
 }
 
 // ObserveRead implements simfs.ReadObserver: a read of a file under one of
-// the graph's catalog directories ("/data/<catalog>/…") is recorded in the
-// filename map and attributed to that catalog's source node. Every other
-// read is ignored, so pipelines sharing one connector — concurrent planning
-// traces, a traced multi-tenant run — never count each other's bytes.
+// the graph's catalog directories ("/data/<catalog>/…") is attributed to
+// that catalog's source node, and its bytes join the filename map once a
+// reader finishes the file (ObserveFile). Every other read is ignored, so
+// pipelines sharing one connector — concurrent planning traces, a traced
+// multi-tenant run — never count each other's bytes.
 func (c *Collector) ObserveRead(path string, n int64) {
 	c.mu.Lock()
 	src, ok := c.sourceOfCatalog[data.CatalogOfPath(path)]
@@ -294,12 +320,36 @@ func (c *Collector) ObserveRead(path string, n int64) {
 		c.mu.Unlock()
 		return
 	}
-	c.files[path] += n
+	fr := c.reading[path]
+	fr.bytes += n
+	c.reading[path] = fr
 	ns := c.nodes[src]
 	c.mu.Unlock()
 	if ns != nil {
 		atomic.AddInt64(&ns.BytesRead, n)
 	}
+}
+
+// ObserveFile records that a source is done with one reader over path,
+// after the reader's last bytes were observed: records is how many records
+// it served and eof whether it reached the file's end. Only a file read to
+// its end enters Files and FileRecords — with everything read of it since
+// it was last finished, so a file resumed across readers counts whole.
+func (c *Collector) ObserveFile(path string, records int64, eof bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.sourceOfCatalog[data.CatalogOfPath(path)]; !ok {
+		return
+	}
+	fr := c.reading[path]
+	fr.records += records
+	if !eof {
+		c.reading[path] = fr
+		return
+	}
+	delete(c.reading, path)
+	c.files[path] += fr.bytes
+	c.fileRecords[path] += fr.records
 }
 
 // SetDiskProfile attaches a fitted bandwidth curve to future snapshots.
@@ -352,13 +402,14 @@ func (c *Collector) Snapshot(duration time.Duration, totalFiles int) *Snapshot {
 		duration = time.Since(c.start)
 	}
 	snap := &Snapshot{
-		Tenant:     c.tenant,
-		Graph:      c.graph.Clone(),
-		Machine:    c.machine,
-		Duration:   duration,
-		Nodes:      make(map[string]*NodeStats, len(c.nodes)),
-		Files:      make(map[string]int64, len(c.files)),
-		TotalFiles: totalFiles,
+		Tenant:      c.tenant,
+		Graph:       c.graph.Clone(),
+		Machine:     c.machine,
+		Duration:    duration,
+		Nodes:       make(map[string]*NodeStats, len(c.nodes)),
+		Files:       maps.Clone(c.files),
+		FileRecords: maps.Clone(c.fileRecords),
+		TotalFiles:  totalFiles,
 		DiskProfile: func() *simfs.BandwidthProfile {
 			return c.profile
 		}(),
@@ -381,9 +432,6 @@ func (c *Collector) Snapshot(duration time.Duration, totalFiles int) *Snapshot {
 			HandoffSteals:    atomic.LoadInt64(&ns.HandoffSteals),
 		}
 		snap.Nodes[name] = &cp
-	}
-	for p, b := range c.files {
-		snap.Files[p] = b
 	}
 	return snap
 }

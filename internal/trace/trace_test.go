@@ -165,6 +165,14 @@ func TestObserveReadCountsOnlyOwnCatalogs(t *testing.T) {
 	col.ObserveRead("/data/cat2/cat2-00000-of-00002.tfrecord", 9000)
 	col.ObserveRead("/scratch/cat/stray.tfrecord", 500)
 	col.ObserveRead("/data/cat/cat-00000-of-00002.tfrecord", 20)
+	for _, p := range []string{
+		"/data/cat/cat-00000-of-00002.tfrecord",
+		"/data/other/other-00000-of-00002.tfrecord",
+		"/data/cat2/cat2-00000-of-00002.tfrecord",
+		"/scratch/cat/stray.tfrecord",
+	} {
+		col.ObserveFile(p, 1, true) // every reader reached EOF
+	}
 	snap := col.Snapshot(time.Second, 2)
 	if got := snap.Nodes["interleave_1"].BytesRead; got != 120 {
 		t.Fatalf("source BytesRead = %d, want 120 (only its own catalog's reads)", got)

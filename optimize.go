@@ -93,8 +93,10 @@ type Result struct {
 	// PredictionError is |observed - predicted| / predicted between the
 	// verifying trace and PredictedMinibatchesPerSec (plan-first only).
 	PredictionError float64 `json:"prediction_error,omitempty"`
-	// TracesUsed counts full pipeline drains this run consumed — the cost
-	// the predictive planner exists to minimize.
+	// TracesUsed counts the traces this run consumed — the cost the
+	// predictive planner exists to minimize. Each drains to EOF: the
+	// plan-first planning trace over a file sample (half of each catalog's
+	// files, rescaled by §A), every other trace over the whole catalog.
 	TracesUsed int `json:"traces_used"`
 }
 
@@ -159,7 +161,9 @@ func Optimize(g *pipeline.Graph, budget Budget, opts Options) (*Result, error) {
 // optimizePlanFirst implements ModePlanFirst: 1 trace -> plan -> apply ->
 // 1 verifying trace -> bounded greedy refinement only on a prediction miss.
 func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Options) error {
-	an, err := traceAnalyze(res, cur, opts)
+	// The plan trace passes over a file sample, rescaled to the whole
+	// dataset by the analysis (§A); every later trace reads everything.
+	an, err := traceAnalyze(res, cur, opts, true)
 	if err != nil {
 		return fmt.Errorf("plumber: plan trace: %w", err)
 	}
@@ -212,7 +216,7 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 		res.Final = cur
 		return nil
 	}
-	an2, err := traceAnalyze(res, cur, opts)
+	an2, err := traceAnalyze(res, cur, opts, false)
 	if err != nil {
 		return fmt.Errorf("plumber: plan verify trace: %w", err)
 	}
@@ -266,7 +270,7 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 		step := len(res.Steps)
 		if an == nil {
 			var err error
-			an, err = traceAnalyze(res, cur, opts)
+			an, err = traceAnalyze(res, cur, opts, false)
 			if err != nil {
 				return nil, fmt.Errorf("plumber: optimize step %d: %w", step, err)
 			}
@@ -298,7 +302,7 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 	}
 	// Step budget exhausted with the last rewrite unmeasured: one final
 	// trace so the reported rate matches the returned program.
-	an, err := traceAnalyze(res, cur, opts)
+	an, err := traceAnalyze(res, cur, opts, false)
 	if err != nil {
 		return nil, fmt.Errorf("plumber: optimize final trace: %w", err)
 	}
@@ -308,9 +312,10 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 	return cur, nil
 }
 
-// traceAnalyze runs one accounted trace of cur and operationalizes it.
-func traceAnalyze(res *Result, cur *pipeline.Graph, opts Options) (*ops.Analysis, error) {
-	snap, err := Trace(cur, opts)
+// traceAnalyze runs one accounted trace of cur — over the planning file
+// sample when sample is set — and operationalizes it.
+func traceAnalyze(res *Result, cur *pipeline.Graph, opts Options, sample bool) (*ops.Analysis, error) {
+	snap, err := runTrace(cur, opts, sample)
 	if err != nil {
 		return nil, err
 	}

@@ -14,18 +14,19 @@
 package plumber
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 
 	"plumber/internal/connector"
-	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
 	"plumber/internal/rewrite"
 	"plumber/internal/simfs"
 	"plumber/internal/trace"
+	"plumber/internal/tracerun"
 	"plumber/internal/udf"
 )
 
@@ -57,8 +58,11 @@ type Options struct {
 	// Spin makes workers busy-wait for modeled CPU time so wallclock
 	// throughput reflects the cost model.
 	Spin bool
-	// MaxMinibatches bounds each trace drain; 0 drains to EOF (one pass
-	// over a finite pipeline).
+	// MaxMinibatches caps each trace's drain; 0 drains to EOF, one pass
+	// over a finite pipeline. Optimize's plan-first planning trace passes
+	// over a file sample (the first half of each catalog's files, rescaled
+	// to the whole dataset by the analysis), every other trace over the
+	// whole catalog; with a cap, whichever limit comes first ends the trace.
 	MaxMinibatches int64
 	// Mode selects Optimize's strategy; the zero value means ModePlanFirst
 	// (one trace, one-shot joint allocation, one verifying trace).
@@ -140,58 +144,28 @@ const defaultMaxSteps = 32
 // it (to EOF, or MaxMinibatches root elements if set), and returns the
 // joined snapshot of the serialized program and every Dataset's counters.
 func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
+	return runTrace(g, opts, false)
+}
+
+// runTrace is Trace, over the planning file sample when sample is set.
+func runTrace(g *pipeline.Graph, opts Options, sample bool) (*trace.Snapshot, error) {
 	src := opts.source()
 	if src == nil {
 		return nil, errors.New("plumber: Options.FS or Options.Source is required")
 	}
 	opts = opts.withDefaults()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	machine := opts.Machine
-	if opts.Spin {
-		// A spun trace burns its modeled CPU for real, so it ran on at most
-		// the cores the runtime schedules — and calibration reads the
-		// snapshot's Machine.Cores as the cores the trace had.
-		machine.Cores = min(machine.Cores, runtime.GOMAXPROCS(0))
-	}
-	col, err := trace.NewCollector(g, machine)
-	if err != nil {
-		return nil, err
-	}
-	src.AddObserver(col)
-	defer src.RemoveObserver(col)
-	p, err := engine.New(g, engine.Options{
+	snap, err := tracerun.Run(context.Background(), g, engine.Options{
 		FS:        src,
 		UDFs:      opts.UDFs,
-		Collector: col,
 		WorkScale: opts.WorkScale,
 		Spin:      opts.Spin,
 		Seed:      opts.Seed,
 		Caches:    opts.Caches,
-	})
+	}, opts.Machine, opts.MaxMinibatches, sample)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plumber: %w", err)
 	}
-	if _, _, err := p.Drain(opts.MaxMinibatches); err != nil {
-		p.Close() // Close is idempotent and error-swallowing here is fine: the drain error wins
-		return nil, fmt.Errorf("plumber: trace drain: %w", err)
-	}
-	// Close before snapshotting: sequential iterators flush their buffered
-	// counter shards on Close, and a snapshot taken earlier would undercount
-	// every node by up to one flush interval.
-	if err := p.Close(); err != nil {
-		return nil, fmt.Errorf("plumber: trace close: %w", err)
-	}
-	// A missing catalog would leave TotalFiles at 0 and silently skew the
-	// §A dataset-size rescale — propagate instead. (engine.New resolved the
-	// same catalog already, so this fails only if it was unregistered
-	// mid-trace.)
-	totalFiles, err := totalSourceFiles(g)
-	if err != nil {
-		return nil, fmt.Errorf("plumber: trace source catalog: %w", err)
-	}
-	return col.Snapshot(0, totalFiles), nil
+	return snap, nil
 }
 
 // Analyze operationalizes a snapshot: visit ratios, per-core rates, scaled
@@ -199,23 +173,4 @@ func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
 // nil, in which case all UDFs are treated as deterministic.
 func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*ops.Analysis, error) {
 	return ops.Analyze(snap, reg)
-}
-
-// totalSourceFiles sums NumFiles over every source catalog in the graph —
-// the denominator of the §A dataset-size rescale. Branch catalogs of a
-// DAG-shaped pipeline all count: the tracer attributes reads per source.
-func totalSourceFiles(g *pipeline.Graph) (int, error) {
-	srcs, err := g.Sources()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, n := range srcs {
-		cat, err := data.CatalogByName(n.Catalog)
-		if err != nil {
-			return 0, err
-		}
-		total += cat.NumFiles
-	}
-	return total, nil
 }
