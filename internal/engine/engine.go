@@ -102,17 +102,22 @@ type Options struct {
 	// blocked Next calls return the context's cause and workers wind down.
 	// Equivalent to calling Cancel from a watcher goroutine.
 	Context context.Context
-	// FileSample makes every source read only the first ⌈k/2⌉ of its k
-	// materialized shards — the prefix convention of
+	// FileSample makes every source read only the first SampledFiles(k)
+	// of its k materialized shards — the prefix convention of
 	// data.Catalog.SampleFiles — so one pass over the pipeline is one pass
-	// over a deterministic file sample. Cache entries filled under the
-	// sample are keyed apart from full-catalog ones and never serve them.
+	// over a deterministic file sample. A sampled pipeline runs on a
+	// private cache store: Caches is ignored, so a shared store never
+	// serves a sample, nor holds an entry a sample filled.
 	FileSample bool
 }
 
 // fileSampleDivisor sets the size of the file sample: a source under
 // Options.FileSample reads the first ⌈k/fileSampleDivisor⌉ of its k shards.
 const fileSampleDivisor = 2
+
+// SampledFiles returns how many of a source's k shards one pass under
+// Options.FileSample reads.
+func SampledFiles(k int) int { return (k + fileSampleDivisor - 1) / fileSampleDivisor }
 
 // Pipeline is an instantiated, runnable iterator tree.
 type Pipeline struct {
@@ -257,7 +262,7 @@ func prepare(opts Options) (*Pipeline, error) {
 		cancelCh: make(chan struct{}),
 		closedCh: make(chan struct{}),
 	}
-	if p.caches == nil {
+	if p.caches == nil || opts.FileSample {
 		p.caches = NewCacheStore()
 	}
 	return p, nil
@@ -655,7 +660,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 				break
 			}
 		}
-		entry := p.caches.entry(key, chainSignature(below, seed, p.opts.FileSample))
+		entry := p.caches.entry(key, chainSignature(below, seed))
 		return newCacheIter(p, key, entry, childFactory, handle, srcName, replica, seed)
 	case pipeline.KindTake:
 		child, err := childFactory()
@@ -764,18 +769,14 @@ func spin(d time.Duration) {
 
 // chainSignature fingerprints the subtree below a cache node: every field
 // that affects what the cache would materialize (operator identity and
-// parameters, the pipeline seed that drives shuffles and randomized UDFs,
-// and whether the sources read only the file sample). A
-// rewrite that touches anything below the cache point produces a different
-// signature and therefore a cold entry. below is the sub-graph in
+// parameters, plus the pipeline seed that drives shuffles and randomized
+// UDFs). A rewrite that touches anything below the cache point produces a
+// different signature and therefore a cold entry. below is the sub-graph in
 // Graph.Below's deterministic topological order, so linear chains keep the
 // signatures the pre-DAG engine produced.
-func chainSignature(below []pipeline.Node, seed uint64, fileSample bool) string {
+func chainSignature(below []pipeline.Node, seed uint64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", seed)
-	if fileSample {
-		fmt.Fprintf(&b, "|sample=1/%d", fileSampleDivisor)
-	}
 	for _, n := range below {
 		fmt.Fprintf(&b, "|%s/%s/%s/%s/%d/%d/%d/%d/%s/%t",
 			n.Name, n.Kind, n.Input, n.UDF, n.Parallelism, n.BufferSize,

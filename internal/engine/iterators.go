@@ -217,12 +217,12 @@ func (s *sourceIter) start() {
 }
 
 // files returns the shards one pass of this source reads: every
-// materialized shard, or under Options.FileSample the first ⌈k/2⌉ of the k
-// materialized ones.
+// materialized shard, or under Options.FileSample the first SampledFiles(k)
+// of the k materialized ones.
 func (s *sourceIter) files() []string {
 	files := s.cat.FileNames()
 	if s.p.opts.FileSample {
-		files = files[:(len(files)+fileSampleDivisor-1)/fileSampleDivisor]
+		files = files[:SampledFiles(len(files))]
 	}
 	return files
 }

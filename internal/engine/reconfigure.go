@@ -343,7 +343,7 @@ func (p *Pipeline) checkServingCaches(rs *resumeState, g *pipeline.Graph) error 
 				return berr
 			}
 			sig, complete, ok := p.caches.peek(key)
-			if ok && complete && sig == chainSignature(below, cr.seed, p.opts.FileSample) {
+			if ok && complete && sig == chainSignature(below, cr.seed) {
 				found = true
 			}
 		}

@@ -7,9 +7,8 @@
 // operational model, allocated against §5.2's resource ceilings) one level
 // up.
 // Each tenant is traced exactly once (the planner's whole point is that one
-// trace suffices) over its planning file sample — half of each catalog's
-// files, rescaled by §A — a batch of new tenants all at once on one shared
-// pool at even shares (AddAll); the cross-tenant core split is then solved by
+// trace suffices), a batch of new tenants all at once on one shared pool at
+// even shares (AddAll); the cross-tenant core split is then solved by
 // water-filling on every tenant's predicted rate curve — the marginal value
 // of one more core for tenant t at share c is w_t·(X_t(c+1) − X_t(c)),
 // where X_t is ops.PredictObservedRate evaluated on the plan that
@@ -84,10 +83,9 @@ type Tenant struct {
 	WorkScale float64
 	// Spin makes trace workers burn modeled CPU for real.
 	Spin bool
-	// MaxMinibatches caps the planning trace; 0 drains it to EOF. The
-	// planning trace passes over a file sample — the first half of each
-	// catalog's files, rescaled to the whole dataset by the analysis (§A) —
-	// so with a cap, whichever limit comes first ends it.
+	// MaxMinibatches caps the planning trace; 0 drains it to EOF — over
+	// half of each catalog's files when that sample fits (uniform file
+	// sizes, enough minibatches: tracerun.SampleFits).
 	MaxMinibatches int64
 	// DiskBandwidth is the tenant's own storage ceiling in bytes/second
 	// (e.g. the simulated device's total bandwidth); 0 means unbounded.
@@ -733,8 +731,8 @@ func (a *Arbiter) traceWave(ts []Tenant, wave []int, out []*tenantState) error {
 	return errors.Join(failed...)
 }
 
-// traceTenant runs the tenant's one planning trace — a pass over the
-// planning file sample, through the tenant's storage connector — as a
+// traceTenant runs the tenant's one planning trace — through its storage
+// connector, over a file sample where tracerun.SampleFits allows — as a
 // tenant of pool guaranteed share slots, and operationalizes it. The
 // snapshot records share as Machine.Cores (capped at GOMAXPROCS when the
 // trace spins its modeled CPU for real), so the analysis calibrates against
@@ -748,7 +746,8 @@ func traceTenant(ctx context.Context, t Tenant, src connector.Connector, pool *e
 		Seed:       t.Seed,
 		Pool:       pool,
 		PoolTenant: t.Name,
-	}, trace.Machine{Name: "host", Cores: share}, t.MaxMinibatches, true)
+		FileSample: tracerun.SampleFits(t.Graph),
+	}, trace.Machine{Name: "host", Cores: share}, t.MaxMinibatches)
 	if err != nil {
 		return nil, err
 	}

@@ -125,6 +125,7 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 	// Pass 1: visit ratios, chained root -> sources, then rates.
 	visits := visitRatios(chain, statsChain, rootCompletions)
 	nodes := make([]NodeAnalysis, len(chain))
+	recordBytes := make([]float64, len(chain)) // sources' bytes per record
 	for i, n := range chain {
 		ns := statsChain[i]
 		na := NodeAnalysis{
@@ -147,16 +148,18 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			na.Rate = math.Inf(1)
 		}
 		na.ScaledCapacity = float64(na.Parallelism) * na.Rate
-		if n.IsSource() && ns.BytesRead > 0 {
-			// Bytes per record from the files read to their end (from the
-			// counters when none was), so neither records in flight nor
-			// the reader's unflushed tail skew the per-minibatch cost.
+		if n.IsSource() {
+			// Bytes per record from the snapshot's files (from the counters
+			// when no reader of them has reported its records yet), so
+			// neither records in flight nor the reader's unflushed tail skew
+			// the per-minibatch cost.
 			bytes, records := snap.SourceFiles(n.Catalog)
 			if records == 0 {
 				bytes, records = ns.BytesRead, ns.ElementsProduced
 			}
 			if records > 0 {
-				na.IOBytesPerMinibatch = na.VisitRatio * float64(bytes) / float64(records)
+				recordBytes[i] = float64(bytes) / float64(records)
+				na.IOBytesPerMinibatch = na.VisitRatio * recordBytes[i]
 			}
 		}
 		if ns.ElementsProduced > 0 {
@@ -167,12 +170,11 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 
 	// Pass 2 (source -> root, in topo order so every input precedes its
 	// consumer): cardinality and materialization (§A 2). A source's
-	// cardinality is the estimated dataset bytes times its records per
-	// observed byte, both from the files read to their end; every other
-	// node derives its cardinality from its inputs' — most multiply by the
-	// local input/output completion ratio, Zip pairs (min over inputs),
-	// Concat appends (sum over inputs). Infinite Repeat makes everything
-	// above it uncacheable.
+	// cardinality is its share of the estimated dataset bytes over its
+	// bytes per record; every other node derives its cardinality from its
+	// inputs' — most multiply by the local input/output completion ratio,
+	// Zip pairs (min over inputs), Concat appends (sum over inputs).
+	// Infinite Repeat makes everything above it uncacheable.
 	card := make(map[string]float64, len(chain))
 	for i := range nodes {
 		n := chain[i]
@@ -180,9 +182,9 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 		var c float64
 		switch {
 		case n.IsSource():
-			if observed > 0 {
-				_, records := snap.SourceFiles(n.Catalog)
-				c = a.DatasetBytes * float64(records) / observed
+			if observed > 0 && recordBytes[i] > 0 {
+				fileBytes, _ := snap.SourceFiles(n.Catalog)
+				c = a.DatasetBytes * float64(fileBytes) / observed / recordBytes[i]
 			}
 		case n.Kind == pipeline.KindRepeat && n.Count < 0:
 			c = math.Inf(1)

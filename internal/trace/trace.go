@@ -109,7 +109,9 @@ type Snapshot struct {
 	Nodes map[string]*NodeStats `json:"nodes"`
 	// Files maps each file a source read to its end -> the framed bytes
 	// those reads consumed. A file a bounded trace left half-read is not in
-	// it: it would pass for a small whole file in the §A rescale.
+	// it — it would pass for a small whole file in the §A rescale — unless
+	// its catalog has no whole file at all: then the catalog's partial
+	// reads stand in, a low but non-zero size estimate.
 	Files map[string]int64 `json:"files"`
 	// FileRecords maps the same files -> the records those reads served,
 	// the records-per-byte the analyzer projects source cardinality with.
@@ -432,6 +434,18 @@ func (c *Collector) Snapshot(duration time.Duration, totalFiles int) *Snapshot {
 			HandoffSteals:    atomic.LoadInt64(&ns.HandoffSteals),
 		}
 		snap.Nodes[name] = &cp
+	}
+	// A catalog no reader finished (a trace capped inside its first files)
+	// falls back to its partial reads.
+	finished := make(map[string]bool)
+	for p := range c.files {
+		finished[data.CatalogOfPath(p)] = true
+	}
+	for p, fr := range c.reading {
+		if !finished[data.CatalogOfPath(p)] {
+			snap.Files[p] += fr.bytes
+			snap.FileRecords[p] += fr.records
+		}
 	}
 	return snap
 }

@@ -3,6 +3,7 @@ package tracerun
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"plumber/internal/connector"
@@ -10,6 +11,7 @@ import (
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
+	"plumber/internal/rewrite"
 	"plumber/internal/scenario"
 	"plumber/internal/simfs"
 	"plumber/internal/trace"
@@ -20,8 +22,8 @@ import (
 func analyzeWorkload(t *testing.T, w *scenario.Workload, sample bool, maxMinibatches int64) (*trace.Snapshot, *ops.Analysis) {
 	t.Helper()
 	snap, err := Run(context.Background(), w.Graph, engine.Options{
-		FS: w.Source, UDFs: w.Registry, Seed: w.Spec.Seed, WorkScale: 1,
-	}, trace.Machine{Name: "test", Cores: 2}, maxMinibatches, sample)
+		FS: w.Source, UDFs: w.Registry, Seed: w.Spec.Seed, WorkScale: 1, FileSample: sample,
+	}, trace.Machine{Name: "test", Cores: 2}, maxMinibatches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestFilesCountOnlyEOF(t *testing.T) {
 	// the third file (or, reading ahead, a later one).
 	maxMB := int64(5 * cat.RecordsPerFile / 2 / batch)
 	snap, err := Run(context.Background(), g, engine.Options{FS: connector.FromSimFS(fs)},
-		trace.Machine{Name: "test", Cores: 1}, maxMB, false)
+		trace.Machine{Name: "test", Cores: 1}, maxMB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,5 +222,79 @@ func TestSampleConcatPerSource(t *testing.T) {
 	}
 	if want := w.Catalog.NumFiles + w.AuxCatalog.NumFiles; snap.TotalFiles != want {
 		t.Fatalf("TotalFiles = %d, want %d (both full catalogs)", snap.TotalFiles, want)
+	}
+}
+
+// TestSampleFits pins which planning traces sample: a uniform-size catalog
+// whose first half of files holds at least minSampleMinibatches root
+// minibatches. Every workload of the canonical suite, quick or full size,
+// stays a full pass; the benchmark-sized tenants sample.
+func TestSampleFits(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		files, records, batch int
+		skew                  float64
+		want                  bool
+	}{
+		{"quick random-augment", 6, 64, 16, 0, false},       // 12 sampled minibatches
+		{"quick tiny-files", 64, 4, 32, 0, false},           // 4
+		{"nlp", 4, 2048, 64, 0, false},                      // 64
+		{"cold-storage", 8, 256, 16, 0, false},              // 64
+		{"skewed", 16, 256, 16, 0.9, false},                 // 128, heavy-tailed
+		{"long skewed", 16, 1024, 16, 0.9, false},           // 512, heavy-tailed
+		{"random-augment x4 records", 6, 1024, 16, 0, true}, // 192
+		{"tiny-files x48 files", 12288, 4, 32, 0, true},     // 768
+		{"odd file count", 5, 704, 16, 0, true},             // ⌈5/2⌉ = 3 files: 132
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cat := data.Catalog{
+				Name: "tracerun-fits-" + strings.ReplaceAll(tc.name, " ", "-"), NumFiles: tc.files,
+				RecordsPerFile: tc.records, MeanRecordBytes: 256, FileSizeSkew: tc.skew,
+			}
+			if err := data.RegisterCatalog(cat); err != nil {
+				t.Fatal(err)
+			}
+			g := pipeline.NewBuilder().Interleave(cat.Name, 2).Batch(tc.batch).MustBuild()
+			if got := SampleFits(g); got != tc.want {
+				t.Fatalf("SampleFits = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestCappedInterleaveKeepsCardinality caps a trace of a parallel
+// interleave inside its first files, before any reader reaches an EOF:
+// the partial reads must stand in for the file sample, so the source
+// cardinality, the dataset size and a cache candidate all survive.
+func TestCappedInterleaveKeepsCardinality(t *testing.T) {
+	cat := data.Catalog{
+		Name:                "tracerun-capped",
+		NumFiles:            8,
+		RecordsPerFile:      2048,
+		MeanRecordBytes:     256,
+		DecodeAmplification: 1,
+	}
+	if err := data.RegisterCatalog(cat); err != nil {
+		t.Fatal(err)
+	}
+	fs := simfs.New(simfs.Device{Name: "capped-mem"}, false)
+	fs.AddCatalog(cat, 5)
+	g := pipeline.NewBuilder().Interleave(cat.Name, 4).Batch(16).MustBuild()
+	snap, err := Run(context.Background(), g, engine.Options{FS: connector.FromSimFS(fs)},
+		trace.Machine{Name: "test", Cores: 2}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := ops.Analyze(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := an.Nodes[0]
+	if !(an.DatasetBytes > 0) || !(src.Cardinality > 0) || !(src.MaterializedBytes > 0) {
+		t.Fatalf("capped trace: DatasetBytes %.0f, source cardinality %.0f, materialized %.0f; want all non-zero",
+			an.DatasetBytes, src.Cardinality, src.MaterializedBytes)
+	}
+	if _, _, ok, err := (rewrite.InsertCacheAtBestNode{}).Apply(an, rewrite.Budget{Cores: 2, MemoryBytes: 1 << 30}); err != nil || !ok {
+		t.Fatalf("no cache candidate survived the capped trace (ok=%v, err=%v)", ok, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"plumber/internal/plan"
 	"plumber/internal/rewrite"
 	"plumber/internal/stats"
+	"plumber/internal/tracerun"
 )
 
 // Budget is the resource envelope the tuner allocates against; it aliases
@@ -94,9 +95,9 @@ type Result struct {
 	// verifying trace and PredictedMinibatchesPerSec (plan-first only).
 	PredictionError float64 `json:"prediction_error,omitempty"`
 	// TracesUsed counts the traces this run consumed — the cost the
-	// predictive planner exists to minimize. Each drains to EOF: the
-	// plan-first planning trace over a file sample (half of each catalog's
-	// files, rescaled by §A), every other trace over the whole catalog.
+	// predictive planner exists to minimize. The plan-first plan trace
+	// reads half of each catalog's files when tracerun.SampleFits allows
+	// (rescaled to the whole dataset by §A); every other trace reads all.
 	TracesUsed int `json:"traces_used"`
 }
 
@@ -161,9 +162,10 @@ func Optimize(g *pipeline.Graph, budget Budget, opts Options) (*Result, error) {
 // optimizePlanFirst implements ModePlanFirst: 1 trace -> plan -> apply ->
 // 1 verifying trace -> bounded greedy refinement only on a prediction miss.
 func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Options) error {
-	// The plan trace passes over a file sample, rescaled to the whole
-	// dataset by the analysis (§A); every later trace reads everything.
-	an, err := traceAnalyze(res, cur, opts, true)
+	// Only the plan trace may read a file sample (see Result.TracesUsed).
+	planOpts := opts
+	planOpts.fileSample = tracerun.SampleFits(cur)
+	an, err := traceAnalyze(res, cur, planOpts)
 	if err != nil {
 		return fmt.Errorf("plumber: plan trace: %w", err)
 	}
@@ -216,7 +218,7 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 		res.Final = cur
 		return nil
 	}
-	an2, err := traceAnalyze(res, cur, opts, false)
+	an2, err := traceAnalyze(res, cur, opts)
 	if err != nil {
 		return fmt.Errorf("plumber: plan verify trace: %w", err)
 	}
@@ -270,7 +272,7 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 		step := len(res.Steps)
 		if an == nil {
 			var err error
-			an, err = traceAnalyze(res, cur, opts, false)
+			an, err = traceAnalyze(res, cur, opts)
 			if err != nil {
 				return nil, fmt.Errorf("plumber: optimize step %d: %w", step, err)
 			}
@@ -302,7 +304,7 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 	}
 	// Step budget exhausted with the last rewrite unmeasured: one final
 	// trace so the reported rate matches the returned program.
-	an, err := traceAnalyze(res, cur, opts, false)
+	an, err := traceAnalyze(res, cur, opts)
 	if err != nil {
 		return nil, fmt.Errorf("plumber: optimize final trace: %w", err)
 	}
@@ -312,10 +314,9 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 	return cur, nil
 }
 
-// traceAnalyze runs one accounted trace of cur — over the planning file
-// sample when sample is set — and operationalizes it.
-func traceAnalyze(res *Result, cur *pipeline.Graph, opts Options, sample bool) (*ops.Analysis, error) {
-	snap, err := runTrace(cur, opts, sample)
+// traceAnalyze runs one accounted trace of cur and operationalizes it.
+func traceAnalyze(res *Result, cur *pipeline.Graph, opts Options) (*ops.Analysis, error) {
+	snap, err := Trace(cur, opts)
 	if err != nil {
 		return nil, err
 	}

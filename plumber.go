@@ -59,10 +59,8 @@ type Options struct {
 	// throughput reflects the cost model.
 	Spin bool
 	// MaxMinibatches caps each trace's drain; 0 drains to EOF, one pass
-	// over a finite pipeline. Optimize's plan-first planning trace passes
-	// over a file sample (the first half of each catalog's files, rescaled
-	// to the whole dataset by the analysis), every other trace over the
-	// whole catalog; with a cap, whichever limit comes first ends the trace.
+	// over a finite pipeline — for Optimize's plan trace, possibly over a
+	// file sample (see Result.TracesUsed).
 	MaxMinibatches int64
 	// Mode selects Optimize's strategy; the zero value means ModePlanFirst
 	// (one trace, one-shot joint allocation, one verifying trace).
@@ -90,6 +88,10 @@ type Options struct {
 	// is warm when step k+1 traces; stale entries are invalidated by the
 	// engine when a rewrite touches the chain below them.
 	Caches *engine.CacheStore
+
+	// fileSample makes Trace pass over the file sample
+	// (engine.Options.FileSample); only Optimize's plan trace sets it.
+	fileSample bool
 }
 
 // source resolves the configured storage connector (nil when neither FS
@@ -144,24 +146,20 @@ const defaultMaxSteps = 32
 // it (to EOF, or MaxMinibatches root elements if set), and returns the
 // joined snapshot of the serialized program and every Dataset's counters.
 func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
-	return runTrace(g, opts, false)
-}
-
-// runTrace is Trace, over the planning file sample when sample is set.
-func runTrace(g *pipeline.Graph, opts Options, sample bool) (*trace.Snapshot, error) {
 	src := opts.source()
 	if src == nil {
 		return nil, errors.New("plumber: Options.FS or Options.Source is required")
 	}
 	opts = opts.withDefaults()
 	snap, err := tracerun.Run(context.Background(), g, engine.Options{
-		FS:        src,
-		UDFs:      opts.UDFs,
-		WorkScale: opts.WorkScale,
-		Spin:      opts.Spin,
-		Seed:      opts.Seed,
-		Caches:    opts.Caches,
-	}, opts.Machine, opts.MaxMinibatches, sample)
+		FS:         src,
+		UDFs:       opts.UDFs,
+		WorkScale:  opts.WorkScale,
+		Spin:       opts.Spin,
+		Seed:       opts.Seed,
+		Caches:     opts.Caches,
+		FileSample: opts.fileSample,
+	}, opts.Machine, opts.MaxMinibatches)
 	if err != nil {
 		return nil, fmt.Errorf("plumber: %w", err)
 	}

@@ -5,15 +5,38 @@ import (
 	"testing"
 
 	"plumber/internal/connector"
+	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/pipeline"
+	"plumber/internal/simfs"
+	"plumber/internal/tracerun"
+	"plumber/internal/udf"
 )
 
-// cachedGraph is the façade test chain with a cache above the decode.
-func cachedGraph(t *testing.T) *pipeline.Graph {
+// sampleCatalog is the façade catalog grown until a planning trace of
+// cachedGraph over half its files holds enough minibatches to sample.
+var sampleCatalog = data.Catalog{
+	Name:                  "facade-sample",
+	NumFiles:              4,
+	RecordsPerFile:        1024,
+	MeanRecordBytes:       256,
+	RecordBytesStddevFrac: 0.2,
+	DecodeAmplification:   1,
+}
+
+// sampleSetup registers sampleCatalog and returns its connector, the
+// façade's UDFs, the program with a cache above the decode, and the
+// catalog's framed bytes, in whole and in its first half of files.
+func sampleSetup(t *testing.T) (src Connector, reg *udf.Registry, g *pipeline.Graph, catalogBytes, sampleBytes int64) {
 	t.Helper()
+	_, reg = facadeSetup(t)
+	if err := data.RegisterCatalog(sampleCatalog); err != nil {
+		t.Fatal(err)
+	}
+	fs := simfs.New(simfs.Device{Name: "facade-sample-mem"}, false)
+	fs.AddCatalog(sampleCatalog, 11)
 	g, err := pipeline.NewBuilder().
-		Interleave(facadeCatalog.Name, 1).
+		Interleave(sampleCatalog.Name, 1).
 		Map("facade_decode", 1).
 		Cache().
 		Batch(8).
@@ -21,7 +44,16 @@ func cachedGraph(t *testing.T) *pipeline.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	if !tracerun.SampleFits(g) {
+		t.Fatal("planning traces of the test program do not sample")
+	}
+	for i, f := range sampleCatalog.GenerateFileSpecs(11) {
+		catalogBytes += f.TotalBytes
+		if i < sampleCatalog.NumFiles/2 {
+			sampleBytes += f.TotalBytes
+		}
+	}
+	return connector.FromSimFS(fs), reg, g, catalogBytes, sampleBytes
 }
 
 // drainExamples drains g once on a plain engine sharing store and returns
@@ -52,25 +84,31 @@ func (b *byteCounter) ObserveRead(_ string, n int64) {
 	b.mu.Unlock()
 }
 
-func (b *byteCounter) total() int64 {
+// served returns the bytes src serves while fn runs.
+func served(src Connector, fn func()) int64 {
+	var b byteCounter
+	src.AddObserver(&b)
+	defer src.RemoveObserver(&b)
+	fn()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.bytes
 }
 
-// TestSampledTraceLeavesNoWarmCache pins the sample/cache boundary: a
-// planning trace over the file sample fills the program's cache with half
-// the catalog, and a full trace or a plain drain sharing the same
-// CacheStore must not read that entry as warm — both deliver the whole
+// TestSampledTraceLeavesNoWarmCache pins the sample/cache boundary from a
+// cold store: a planning trace over the file sample fills a cache with
+// half the catalog, and a full trace or a plain drain sharing the caller's
+// CacheStore must not read that half as warm — both deliver the whole
 // catalog.
 func TestSampledTraceLeavesNoWarmCache(t *testing.T) {
-	fs, reg := facadeSetup(t)
-	g := cachedGraph(t)
+	src, reg, g, _, _ := sampleSetup(t)
 	store := engine.NewCacheStore()
-	opts := Options{FS: fs, UDFs: reg, WorkScale: 1, Caches: store}
-	total := int64(facadeCatalog.NumFiles * facadeCatalog.RecordsPerFile)
+	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store}
+	total := int64(sampleCatalog.NumFiles * sampleCatalog.RecordsPerFile)
 
-	sampled, err := runTrace(g, opts, true)
+	planOpts := opts
+	planOpts.fileSample = true
+	sampled, err := Trace(g, planOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,43 +122,99 @@ func TestSampledTraceLeavesNoWarmCache(t *testing.T) {
 	if got := full.Nodes["batch_1"].ElementsProduced; got != total/8 {
 		t.Fatalf("full trace after a sampled one produced %d minibatches, want %d", got, total/8)
 	}
-	if got := drainExamples(t, g, connector.FromSimFS(fs), opts, store); got != total {
+	if got := drainExamples(t, g, src, opts, store); got != total {
 		t.Fatalf("drain after the traces delivered %d examples, want %d", got, total)
 	}
 }
 
-// TestOptimizeSampledPlanKeepsCacheCold runs Optimize on a program that
-// already holds a cache, with one CacheStore shared by the call and a
-// later drain: the verify trace must read the whole catalog from storage
-// (not the sampled plan trace's half entry), and the drain of the tuned
-// program must deliver the whole catalog.
-func TestOptimizeSampledPlanKeepsCacheCold(t *testing.T) {
-	fs, reg := facadeSetup(t)
-	src := connector.FromSimFS(fs)
+// TestSampledTraceKeepsSharedStoreWarm starts from a warm shared store: a
+// sampled trace must neither read the warm entry nor replace it, so a full
+// trace after it is still served entirely from the cache.
+func TestSampledTraceKeepsSharedStoreWarm(t *testing.T) {
+	src, reg, g, _, sampleBytes := sampleSetup(t)
 	store := engine.NewCacheStore()
 	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store}
-	total := int64(facadeCatalog.NumFiles * facadeCatalog.RecordsPerFile)
-	var catalogBytes, sampleBytes int64
-	for i, f := range facadeCatalog.GenerateFileSpecs(11) {
-		catalogBytes += f.TotalBytes
-		if i < facadeCatalog.NumFiles/2 {
-			sampleBytes += f.TotalBytes
-		}
+	total := int64(sampleCatalog.NumFiles * sampleCatalog.RecordsPerFile)
+	if got := drainExamples(t, g, src, opts, store); got != total {
+		t.Fatalf("warm-up drain delivered %d examples, want %d", got, total)
 	}
 
-	var served byteCounter
-	src.AddObserver(&served)
-	res, err := Optimize(cachedGraph(t), Budget{Cores: 2, MemoryBytes: 64 << 20}, opts)
-	src.RemoveObserver(&served)
-	if err != nil {
-		t.Fatal(err)
+	planOpts := opts
+	planOpts.fileSample = true
+	if got := served(src, func() {
+		if _, err := Trace(g, planOpts); err != nil {
+			t.Fatal(err)
+		}
+	}); got != sampleBytes {
+		t.Fatalf("sampled trace read %d bytes, want its own cold sample's %d", got, sampleBytes)
 	}
+	var full int64
+	if got := served(src, func() {
+		snap, err := Trace(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = snap.Nodes["batch_1"].ElementsProduced
+	}); got != 0 {
+		t.Fatalf("full trace after the sample read %d bytes from storage, want a warm cache", got)
+	}
+	if full != total/8 {
+		t.Fatalf("warm full trace produced %d minibatches, want %d", full, total/8)
+	}
+}
+
+// TestOptimizeSampledPlanKeepsCacheCold runs Optimize on a program that
+// already holds a cache, with one cold CacheStore shared by the call and a
+// later drain: the verify trace must read the whole catalog from storage
+// (not a half entry the sampled plan trace filled), and the drain of the
+// tuned program must deliver the whole catalog.
+func TestOptimizeSampledPlanKeepsCacheCold(t *testing.T) {
+	src, reg, g, catalogBytes, sampleBytes := sampleSetup(t)
+	store := engine.NewCacheStore()
+	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store}
+	total := int64(sampleCatalog.NumFiles * sampleCatalog.RecordsPerFile)
+
+	var res *Result
+	got := served(src, func() {
+		var err error
+		if res, err = Optimize(g, Budget{Cores: 2, MemoryBytes: 64 << 20}, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if res.TracesUsed < 2 {
 		t.Fatalf("TracesUsed = %d, want the plan and verify traces", res.TracesUsed)
 	}
-	if got, want := served.total(), sampleBytes+catalogBytes; got < want {
+	if want := sampleBytes + catalogBytes; got < want {
 		t.Fatalf("Optimize read %d bytes, want at least %d: the sampled plan trace (%d) and a full verify trace (%d)",
 			got, want, sampleBytes, catalogBytes)
+	}
+	if got := drainExamples(t, res.Final, src, opts, store); got != total {
+		t.Fatalf("drain of the tuned program delivered %d examples, want %d", got, total)
+	}
+}
+
+// TestOptimizeFromWarmStore runs Optimize with a shared store already warm
+// from a full drain of the program: the sampled plan trace runs on a
+// private store, so it reads only its own sample from storage and leaves
+// the warm entry for the verify trace and a later drain.
+func TestOptimizeFromWarmStore(t *testing.T) {
+	src, reg, g, _, sampleBytes := sampleSetup(t)
+	store := engine.NewCacheStore()
+	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store}
+	total := int64(sampleCatalog.NumFiles * sampleCatalog.RecordsPerFile)
+	if got := drainExamples(t, g, src, opts, store); got != total {
+		t.Fatalf("warm-up drain delivered %d examples, want %d", got, total)
+	}
+
+	var res *Result
+	got := served(src, func() {
+		var err error
+		if res, err = Optimize(g, Budget{Cores: 1, MemoryBytes: 64 << 20}, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != sampleBytes {
+		t.Fatalf("Optimize read %d bytes from storage, want only the plan trace's sample (%d)", got, sampleBytes)
 	}
 	if got := drainExamples(t, res.Final, src, opts, store); got != total {
 		t.Fatalf("drain of the tuned program delivered %d examples, want %d", got, total)
