@@ -25,9 +25,10 @@ package data
 //     payloads into a fresh buffer) may return the child's buffer to the
 //     pool with PutBuf once the copy is complete.
 //   - An operator that retains an element beyond the current Next call
-//     while also passing it downstream (Cache) must either Clone it or the
-//     pipeline must disable recycling; the engine disables payload
-//     recycling automatically when the chain contains a Cache node.
+//     while also passing it downstream (Cache) must keep its own copy: the
+//     engine's cache copies each recorded payload into storage it alone
+//     owns and forwards the original, and serves each cached element in a
+//     fresh GetBuf buffer, so it never shares bytes with what it emits.
 //   - Holding elements and later releasing each exactly once (Shuffle,
 //     Prefetch buffers) is pass-through and needs no copy.
 //   - UDF bodies must not retain the input payload after returning when
@@ -72,17 +73,6 @@ func (e Element) Release() bool {
 	}
 	e.Owner.ReleasePayload(e.Payload)
 	return true
-}
-
-// Clone returns a deep copy of the element. The copy owns its own storage:
-// it drops any Owner, and the original's reference stays with the original.
-func (e Element) Clone() Element {
-	out := e
-	out.Owner = nil
-	if e.Payload != nil {
-		out.Payload = append([]byte(nil), e.Payload...)
-	}
-	return out
 }
 
 // WithSize returns a copy of e resized to size bytes. If e carries a real

@@ -17,6 +17,12 @@ const (
 
 var bufClasses [numClasses]sync.Pool
 
+// holders recycles the *[]byte boxes the class pools store buffers in:
+// GetBuf returns a buffer's box here and PutBuf reuses it, so a
+// steady-state Get/Put cycle allocates nothing (a fresh &b per PutBuf
+// would cost one heap allocation each).
+var holders = sync.Pool{New: func() any { return new([]byte) }}
+
 // classFor returns the size-class index whose capacity (2^(minClassBits+i))
 // holds n bytes.
 func classFor(n int) int {
@@ -35,7 +41,11 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := bufClasses[c].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
+		h := v.(*[]byte)
+		b := (*h)[:n]
+		*h = nil
+		holders.Put(h)
+		return b
 	}
 	return make([]byte, n, 1<<(minClassBits+c))
 }
@@ -53,6 +63,7 @@ func PutBuf(b []byte) {
 	if c < 0 || c >= numClasses || n != 1<<(minClassBits+c) {
 		return
 	}
-	b = b[:0]
-	bufClasses[c].Put(&b)
+	h := holders.Get().(*[]byte)
+	*h = b[:0]
+	bufClasses[c].Put(h)
 }

@@ -73,9 +73,8 @@ type Options struct {
 	SampleEvery int
 	// DisableBufferPool turns off pooled record buffers and downstream
 	// payload recycling, making every record a fresh allocation (the
-	// per-element baseline). Pooling is on by default; it is also
-	// automatically restricted (no recycling) when the chain contains a
-	// Cache node, which retains elements across epochs.
+	// per-element baseline). Pooling is on by default, Cache nodes
+	// included: a cache copies what it records into its own storage.
 	DisableBufferPool bool
 	// Caches, when non-nil, is a cache store shared across pipeline
 	// re-instantiations: a rewrite loop that repeatedly rebuilds the
@@ -149,17 +148,15 @@ type Pipeline struct {
 	liveMu   sync.Mutex
 	live     []resumable
 
-	// pool enables pooled record buffers at sources and pooled batch
-	// assembly; recycle additionally allows operators that copy payloads
-	// (Batch) and the root consumer to return buffers to the pool. recycle
-	// implies pool; recycle is off when the chain contains a Cache node.
-	// viewArena additionally serves source records as zero-copy views into
-	// per-worker arena blocks (see arena.go); it requires recycle — views
+	// pool enables pooled record buffers at sources, pooled batch and
+	// cache-serve buffers, and lets operators that copy payloads out
+	// (Batch) and the root consumer return buffers to the pool. viewArena
+	// additionally serves source records as zero-copy views into
+	// per-worker arena blocks (see arena.go); it requires pool — views
 	// only reclaim if every stage retires the elements it drops — and the
 	// ring handoff, so the channel baseline measures the PR-1 engine
-	// unchanged.
+	// unchanged. Both follow from Options alone, so prepare sets them once.
 	pool      bool
-	recycle   bool
 	viewArena bool
 
 	// rootGate admits the root consumer's sequential stages (filter,
@@ -265,6 +262,8 @@ func prepare(opts Options) (*Pipeline, error) {
 	if p.caches == nil || opts.FileSample {
 		p.caches = NewCacheStore()
 	}
+	p.pool = !opts.DisableBufferPool
+	p.viewArena = p.pool && opts.Handoff == HandoffRing
 	return p, nil
 }
 
@@ -281,17 +280,10 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 	if err != nil {
 		return err
 	}
-	hasCache := false
 	byName := make(map[string]pipeline.Node, len(order))
 	for _, n := range order {
 		byName[n.Name] = n
-		if n.Kind == pipeline.KindCache {
-			hasCache = true
-		}
 	}
-	p.pool = !p.opts.DisableBufferPool
-	p.recycle = p.pool && !hasCache
-	p.viewArena = p.recycle && p.opts.Handoff == HandoffRing
 	outer := g.OuterParallelism
 	if outer < 1 {
 		outer = 1
@@ -531,13 +523,21 @@ func (p *Pipeline) DrainCtx(ctx context.Context, max int64) (elements, examples 
 	return p.Drain(max)
 }
 
-// Recycle returns a root element's payload to its owner — the arena block
-// it is a view into, or the buffer pool — if the pipeline's configuration
-// makes that safe (pooling enabled and no Cache node retaining elements).
-// Callers that consume root elements and do not keep their payloads should
-// call it to close the recycling loop.
+// Recycle returns a root element's payload to its owner: the arena block
+// it is a view into, or the buffer pool when pooling is enabled. Callers
+// that consume root elements and do not keep their payloads should call it
+// to close the recycling loop.
 func (p *Pipeline) Recycle(e data.Element) {
 	p.releasePayload(e)
+}
+
+// getBuf returns a payload buffer of length n: from the buffer pool when
+// pooling is on, else a fresh allocation.
+func (p *Pipeline) getBuf(n int) []byte {
+	if p.pool {
+		return data.GetBuf(n)
+	}
+	return make([]byte, n)
 }
 
 // releasePayload retires an element this stage solely owns. Arena views go
@@ -546,19 +546,7 @@ func (p *Pipeline) Recycle(e data.Element) {
 // buffers go back to the pool. Every engine-side recycle site must come
 // through here rather than calling data.PutBuf directly.
 func (p *Pipeline) releasePayload(e data.Element) {
-	// Arena views release regardless of the current recycle mode: views are
-	// only ever produced by trees built with the arena on (which implies
-	// recycling), but a live reconfiguration can switch recycle off — by
-	// inserting a Cache node — while the consumer still holds views drained
-	// from the pre-barrier tree. Dropping those references would pin their
-	// arena blocks forever.
-	if e.Release() {
-		return
-	}
-	if !p.recycle {
-		return
-	}
-	if e.Payload != nil {
+	if !e.Release() && p.pool && e.Payload != nil {
 		data.PutBuf(e.Payload)
 	}
 }

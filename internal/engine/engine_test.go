@@ -203,9 +203,9 @@ func TestUntracedZeroWall(t *testing.T) {
 	}
 }
 
-// TestRepeatWithCache exercises the pooling guard: chains containing a
-// Cache node disable payload recycling, so cached elements served on later
-// epochs must still be intact.
+// TestRepeatWithCache exercises recycling around a cache: Batch and the
+// consumer recycle every payload they retire, so cached elements served on
+// later epochs must still be intact.
 func TestRepeatWithCache(t *testing.T) {
 	fs, reg := testSetup(t)
 	g, err := pipeline.NewBuilder().

@@ -902,9 +902,9 @@ func (r *repeatIter) Close() error {
 // Batch
 
 // batchIter groups size child elements into one minibatch element. The
-// output payload is assembled in a pooled buffer, and — when the pipeline
-// permits recycling — the child payloads it copied out of are returned to
-// the pool, closing the per-record allocation loop.
+// output payload is assembled in a pooled buffer, and the child payloads it
+// copied out of are retired (releasePayload), closing the per-record
+// allocation loop.
 type batchIter struct {
 	p     *Pipeline
 	child iterator
@@ -964,11 +964,7 @@ func (b *batchIter) Next() (data.Element, error) {
 				if b.lastCap > guess {
 					guess = b.lastCap
 				}
-				if b.p.pool {
-					payload = data.GetBuf(guess)[:0]
-				} else {
-					payload = make([]byte, 0, guess)
-				}
+				payload = b.p.getBuf(guess)[:0]
 			}
 			payload = append(payload, e.Payload...)
 			// Copied out: retire the child payload — an arena view back to
@@ -983,7 +979,7 @@ func (b *batchIter) Next() (data.Element, error) {
 		b.tr.wall(time.Since(start))
 	}
 	if out.Count == 0 {
-		if payload != nil && b.p.recycle {
+		if payload != nil && b.p.pool {
 			data.PutBuf(payload)
 		}
 		return data.Element{}, io.EOF
@@ -1147,12 +1143,37 @@ type CacheStore struct {
 	entries map[string]*cacheEntry
 }
 
+// cacheSlabBytes is the chunk size of a cache entry's payload storage:
+// recorded payloads pack back to back into slabs, so a filled entry costs
+// its payload bytes (the n_i × b_i the planner budgets) plus slab tails,
+// not one power-of-two pool buffer per record.
+const cacheSlabBytes = 1 << 20
+
+// cacheEntry is one cache node's materialized contents. elems' payloads are
+// exact-length views into append-only slabs the entry alone owns.
 type cacheEntry struct {
 	mu       sync.Mutex
 	sig      string
 	elems    []data.Element
 	complete bool
-	bytes    int64
+	slab     []byte // current slab, appended to until full
+	held     int64  // capacity of every slab the entry references
+}
+
+// record appends a copy of e, its payload packed into the current slab (a
+// payload larger than a slab gets an exact-size slab of its own).
+func (ce *cacheEntry) record(e data.Element) {
+	if n := len(e.Payload); e.Payload != nil {
+		if len(ce.slab)+n > cap(ce.slab) {
+			ce.slab = make([]byte, 0, max(n, cacheSlabBytes))
+			ce.held += int64(cap(ce.slab))
+		}
+		off := len(ce.slab)
+		ce.slab = append(ce.slab, e.Payload...)
+		e.Payload = ce.slab[off:len(ce.slab):len(ce.slab)]
+	}
+	e.Owner = nil
+	ce.elems = append(ce.elems, e)
 }
 
 // NewCacheStore returns an empty cache store for sharing across pipeline
@@ -1174,11 +1195,26 @@ func (cs *CacheStore) entry(name, sig string) *cacheEntry {
 	return e
 }
 
-// cacheIter passes elements through on the first epoch while recording
-// them; once the child reports EOF the entry is complete and subsequent
-// instantiations serve from memory without touching the child (or disk).
-// Cached elements are retained across epochs, which is why the engine
-// disables payload recycling for chains containing a Cache node.
+// Bytes returns the slab capacity the store's entries hold: the memory a
+// filled cache costs, to compare against the planner's CacheBytes.
+func (cs *CacheStore) Bytes() int64 {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	var n int64
+	for _, e := range cs.entries {
+		e.mu.Lock()
+		n += e.held
+		e.mu.Unlock()
+	}
+	return n
+}
+
+// cacheIter passes elements through on the first epoch while recording a
+// copy of each into its entry's slabs; once the child reports EOF the entry
+// is complete and subsequent instantiations serve from memory without
+// touching the child (or disk). A cache never shares bytes with what it
+// emits: the fill forwards the original element, and serving emits a fresh
+// buffer per element, so the receiver owns its payload like any other.
 type cacheIter struct {
 	p       *Pipeline
 	key     string // cache store key (name, replica-suffixed)
@@ -1217,8 +1253,7 @@ func newCacheIter(p *Pipeline, key string, entry *cacheEntry, factory func() (it
 		// was reused; restart the fill from scratch so elements are never
 		// duplicated.
 		entry.mu.Lock()
-		entry.elems = nil
-		entry.bytes = 0
+		entry.elems, entry.slab, entry.held = nil, nil, 0
 		entry.mu.Unlock()
 	}
 	p.track(c)
@@ -1248,6 +1283,9 @@ func (c *cacheIter) Next() (data.Element, error) {
 		}
 		e := c.entry.elems[c.pos]
 		c.pos++
+		if e.Payload != nil {
+			e.Payload = append(c.p.getBuf(len(e.Payload))[:0], e.Payload...)
+		}
 		c.tr.produced(e)
 		return e, nil
 	}
@@ -1276,8 +1314,7 @@ func (c *cacheIter) Next() (data.Element, error) {
 	c.tr.consumed()
 	if !c.passthrough {
 		c.entry.mu.Lock()
-		c.entry.elems = append(c.entry.elems, e)
-		c.entry.bytes += e.Size
+		c.entry.record(e)
 		c.entry.mu.Unlock()
 	}
 	c.tr.produced(e)
@@ -1420,12 +1457,7 @@ func (z *zipIter) Next() (data.Element, error) {
 	if total > 0 {
 		// The exact total is known up front, so the buffer never regrows
 		// (a regrown buffer would strand the pooled one).
-		var payload []byte
-		if z.p.pool {
-			payload = data.GetBuf(total)[:0]
-		} else {
-			payload = make([]byte, 0, total)
-		}
+		payload := z.p.getBuf(total)[:0]
 		for _, e := range z.pulled {
 			payload = append(payload, e.Payload...)
 			z.p.releasePayload(e)

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"plumber/internal/connector"
 	"plumber/internal/data"
+	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
 	"plumber/internal/rewrite"
@@ -485,5 +487,58 @@ func TestOptimizeAllFacade(t *testing.T) {
 	}
 	if _, err := OptimizeAll(nil, Budget{Cores: 4}); err == nil {
 		t.Fatal("OptimizeAll accepted an empty tenant set")
+	}
+}
+
+// footprintCatalog is uniform (every record the same size, not a power of
+// two) and spans a couple of dozen cache slabs, so the planner's n_i × b_i
+// is exact and slab packing is the only slack left.
+var footprintCatalog = data.Catalog{
+	Name:                "facade-footprint",
+	NumFiles:            8,
+	RecordsPerFile:      1024,
+	MeanRecordBytes:     3000,
+	DecodeAmplification: 1,
+}
+
+// TestOptimizeCacheCostsWhatItPlans runs Optimize on a cacheable program
+// and drains the tuned program on the run's store: the filled cache must
+// hold within 5% of the plan's CacheBytes (per replica).
+func TestOptimizeCacheCostsWhatItPlans(t *testing.T) {
+	_, reg := facadeSetup(t)
+	if err := data.RegisterCatalog(footprintCatalog); err != nil {
+		t.Fatal(err)
+	}
+	fs := simfs.New(simfs.Device{Name: "facade-footprint-mem"}, false)
+	fs.AddCatalog(footprintCatalog, 5)
+	g, err := pipeline.NewBuilder().
+		Interleave(footprintCatalog.Name, 1).
+		Map("facade_decode", 1).
+		Batch(8).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := engine.NewCacheStore()
+	src := connector.FromSimFS(fs)
+	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store}
+	res, err := Optimize(g, Budget{Cores: 2, MemoryBytes: 64 << 20}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan == nil || res.Plan.CacheAbove == "" {
+		t.Fatal("plan placed no cache although the dataset fits the memory budget")
+	}
+	p, err := engine.New(res.Final, engine.Options{FS: src, UDFs: reg, Caches: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	planned := res.Plan.CacheBytes * float64(max(1, res.Final.OuterParallelism))
+	if held := float64(store.Bytes()); math.Abs(held-planned) > 0.05*planned {
+		t.Fatalf("filled cache holds %.0f bytes, plan budgets %.0f: off by more than 5%%", held, planned)
 	}
 }
