@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"plumber/internal/connector"
 	"plumber/internal/data"
@@ -129,4 +130,23 @@ func BenchmarkChunkedVsPerElement(b *testing.B) {
 			drainOnce(b, fs, reg, g, Options{ChunkSize: 1, DisableBufferPool: true})
 		}
 	})
+}
+
+// BenchmarkSpin measures how much wall time spin burns against the modeled
+// duration it is asked for. spin checks its deadline once per spinBatch
+// iterations, so a short spin overshoots by up to one batch; the
+// burned/modeled metric is that overshoot as a ratio (1 is exact). The
+// durations are per-element costs of the canonical suite: tiny-files'
+// decode (2µs), random-augment's decode of a 4 KiB record (16.4µs) and
+// vision's decode of an 8 KiB record (41µs).
+func BenchmarkSpin(b *testing.B) {
+	for _, d := range []time.Duration{2 * time.Microsecond, 16400 * time.Nanosecond, 41 * time.Microsecond} {
+		b.Run(d.String(), func(b *testing.B) {
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				spin(d)
+			}
+			b.ReportMetric(float64(time.Since(start))/float64(time.Duration(b.N)*d), "burned/modeled")
+		})
+	}
 }

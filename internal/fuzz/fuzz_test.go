@@ -2,11 +2,17 @@ package fuzz
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
+	"plumber"
+	"plumber/internal/pipeline"
 	"plumber/internal/plan"
+	"plumber/internal/rewrite"
 	"plumber/internal/scenario"
 	"plumber/internal/stats"
+	"plumber/internal/trace"
+	"plumber/internal/tracerun"
 )
 
 // masterSeed is the logged root of every derived per-case seed; change it
@@ -33,6 +39,73 @@ func TestFuzzPlannerInvariants(t *testing.T) {
 			t.Errorf("case %d: %s", i, Report(Minimize(c)))
 		}
 	}
+}
+
+// TestApplyPlanKeepsSampleDecision machine-checks the premise that lets
+// plan-first Optimize decide once whether its plan and verify traces read
+// the file sample: over the seeded matrix of TestFuzzPlannerInvariants,
+// the planned program has the traced program's source catalogs and root
+// batch size, the inputs of tracerun.SampleFits, and the same decision.
+func TestApplyPlanKeepsSampleDecision(t *testing.T) {
+	rng := stats.NewRNG(masterSeed)
+	sampled := 0
+	for i := 0; i < 120; i++ {
+		seed := rng.Uint64()
+		s, b := Gen(seed)
+		w, err := scenario.Build(s)
+		if err != nil {
+			t.Fatalf("case %d (seed %d): %v", i, seed, err)
+		}
+		snap, err := plumber.Trace(w.Graph, plumber.Options{
+			Source: w.Source, UDFs: w.Registry, Machine: trace.Machine{Name: "fuzz", Cores: machineCores},
+			Seed: s.Seed, WorkScale: 1, MaxMinibatches: maxTraceMinibatches,
+		})
+		if err != nil {
+			t.Fatalf("case %d (seed %d): trace: %v", i, seed, err)
+		}
+		a, err := plumber.Analyze(snap, w.Registry)
+		if err != nil {
+			t.Fatalf("case %d (seed %d): analyze: %v", i, seed, err)
+		}
+		p, err := plan.Solve(a, b)
+		if err != nil {
+			continue // a violation TestFuzzPlannerInvariants reports
+		}
+		applied, _, err := rewrite.ApplyPlan(w.Graph, p)
+		if err != nil {
+			continue // likewise
+		}
+		if got, want := sourceCatalogs(t, applied), sourceCatalogs(t, w.Graph); !slices.Equal(got, want) {
+			t.Errorf("case %d (seed %d): ApplyPlan changed the source catalogs %v -> %v", i, seed, want, got)
+		}
+		got, gerr := applied.BatchSizeAtRoot()
+		want, werr := w.Graph.BatchSizeAtRoot()
+		if got != want || (gerr == nil) != (werr == nil) {
+			t.Errorf("case %d (seed %d): ApplyPlan changed the root batch size %d -> %d", i, seed, want, got)
+		}
+		fits := tracerun.SampleFits(w.Graph)
+		if tracerun.SampleFits(applied) != fits {
+			t.Errorf("case %d (seed %d): ApplyPlan changed SampleFits from %v", i, seed, fits)
+		}
+		if fits {
+			sampled++
+		}
+	}
+	t.Logf("%d of 120 traced programs sample", sampled)
+}
+
+// sourceCatalogs lists g's source catalogs in topological order.
+func sourceCatalogs(t *testing.T, g *pipeline.Graph) []string {
+	t.Helper()
+	srcs, err := g.Sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, n := range srcs {
+		out = append(out, n.Catalog)
+	}
+	return out
 }
 
 // TestJointSolveCanonicalScenarios is the acceptance head-to-head: on

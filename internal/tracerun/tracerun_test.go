@@ -11,6 +11,7 @@ import (
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
+	"plumber/internal/plan"
 	"plumber/internal/rewrite"
 	"plumber/internal/scenario"
 	"plumber/internal/simfs"
@@ -93,24 +94,40 @@ func TestSampleMatchesFullPass(t *testing.T) {
 			if snap.TotalFiles != w.Catalog.NumFiles {
 				t.Fatalf("TotalFiles = %d, want the catalog's %d", snap.TotalFiles, w.Catalog.NumFiles)
 			}
-			uniform := spec.FileSizeSkew == 0
-			for i, fn := range full.Nodes {
-				sn := sampled.Nodes[i]
-				if e := relErr(sn.VisitRatio, fn.VisitRatio); e > 0.02 {
-					t.Errorf("%s VisitRatio %.4f vs full %.4f (%.1f%%)", fn.Name, sn.VisitRatio, fn.VisitRatio, 100*e)
-				}
-				e := relErr(sn.LocalRate, fn.LocalRate)
-				t.Logf("%s LocalRate sampled %.1f vs full %.1f: %.1f%% error", fn.Name, sn.LocalRate, fn.LocalRate, 100*e)
-				if uniform && e > 0.02 {
-					t.Errorf("%s LocalRate error %.1f%% exceeds 2%%", fn.Name, 100*e)
-				}
-			}
-			e := relErr(sampled.DatasetBytes, full.DatasetBytes)
-			t.Logf("DatasetBytes sampled %.0f vs full %.0f: %.1f%% error", sampled.DatasetBytes, full.DatasetBytes, 100*e)
-			if uniform && e > 0.05 {
-				t.Errorf("DatasetBytes error %.1f%% exceeds 5%% on a uniform-size catalog", 100*e)
-			}
+			checkSampleMatches(t, full, sampled, spec.FileSizeSkew == 0)
 		})
+	}
+}
+
+// checkSampleMatches compares the analysis of a pass over the file sample
+// with a full pass's: every node's visit ratio within 2% and, on catalogs
+// of uniformly sized files, every local rate within 2% and the dataset
+// size and each cache node's materialized bytes within 5%. Rate and size
+// errors are logged either way.
+func checkSampleMatches(t *testing.T, full, sampled *ops.Analysis, uniform bool) {
+	t.Helper()
+	for i, fn := range full.Nodes {
+		sn := sampled.Nodes[i]
+		if e := relErr(sn.VisitRatio, fn.VisitRatio); e > 0.02 {
+			t.Errorf("%s VisitRatio %.4f vs full %.4f (%.1f%%)", fn.Name, sn.VisitRatio, fn.VisitRatio, 100*e)
+		}
+		e := relErr(sn.LocalRate, fn.LocalRate)
+		t.Logf("%s LocalRate sampled %.1f vs full %.1f: %.1f%% error", fn.Name, sn.LocalRate, fn.LocalRate, 100*e)
+		if uniform && e > 0.02 {
+			t.Errorf("%s LocalRate error %.1f%% exceeds 2%%", fn.Name, 100*e)
+		}
+		if fn.Kind == pipeline.KindCache {
+			e := relErr(sn.MaterializedBytes, fn.MaterializedBytes)
+			t.Logf("%s MaterializedBytes sampled %.0f vs full %.0f: %.1f%% error", fn.Name, sn.MaterializedBytes, fn.MaterializedBytes, 100*e)
+			if uniform && e > 0.05 {
+				t.Errorf("%s MaterializedBytes error %.1f%% exceeds 5%%", fn.Name, 100*e)
+			}
+		}
+	}
+	e := relErr(sampled.DatasetBytes, full.DatasetBytes)
+	t.Logf("DatasetBytes sampled %.0f vs full %.0f: %.1f%% error", sampled.DatasetBytes, full.DatasetBytes, 100*e)
+	if uniform && e > 0.05 {
+		t.Errorf("DatasetBytes error %.1f%% exceeds 5%% on a uniform-size catalog", 100*e)
 	}
 }
 
@@ -296,5 +313,63 @@ func TestCappedInterleaveKeepsCardinality(t *testing.T) {
 	}
 	if _, _, ok, err := (rewrite.InsertCacheAtBestNode{}).Apply(an, rewrite.Budget{Cores: 2, MemoryBytes: 1 << 30}); err != nil || !ok {
 		t.Fatalf("no cache candidate survived the capped trace (ok=%v, err=%v)", ok, err)
+	}
+}
+
+// TestSampleMatchesFullPassPlanned repeats TestSampleMatchesFullPass on
+// planned programs, the shape plan-first Optimize's verify trace runs:
+// every uniform-size workload of the canonical suite, and random-augment
+// at four times the records per file, is traced, solved and rewritten
+// (plan.Solve, then rewrite.ApplyPlan). The planned program's trace over
+// the file sample must reproduce a full pass's visit ratios and local
+// rates within 2%, and its dataset size and the planned cache's
+// materialized bytes within 5%. Every planned program must hold a cache;
+// across the workloads they must also hold a root prefetch and raised
+// parallelism.
+func TestSampleMatchesFullPassPlanned(t *testing.T) {
+	var specs []scenario.Spec
+	for _, s := range scenario.Suite(false) {
+		if s.FileSizeSkew == 0 {
+			specs = append(specs, s)
+		}
+	}
+	x4 := suiteSpec(t, "random-augment")
+	x4.Name += "-x4"
+	x4.RecordsPerFile *= 4
+	specs = append(specs, x4)
+	var prefetched, raised int
+	for _, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			w := buildWorkload(t, spec)
+			_, an := analyzeWorkload(t, w, false, 0)
+			p, err := plan.Solve(an, plan.Budget{Cores: 4, MemoryBytes: 64 << 20, DiskBandwidth: spec.Device.TotalBandwidth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			planned, _, err := rewrite.ApplyPlan(w.Graph, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.CacheAbove == "" {
+				t.Fatal("plan placed no cache")
+			}
+			for _, n := range planned.Nodes {
+				if n.Kind == pipeline.KindPrefetch && n.Name == planned.Output {
+					prefetched++
+				}
+				if old, err := w.Graph.Node(n.Name); err == nil && n.EffectiveParallelism() > old.EffectiveParallelism() {
+					raised++
+				}
+			}
+			pw := *w
+			pw.Graph = planned
+			_, full := analyzeWorkload(t, &pw, false, 0)
+			_, sampled := analyzeWorkload(t, &pw, true, 0)
+			checkSampleMatches(t, full, sampled, true)
+		})
+	}
+	t.Logf("planned programs: %d root prefetches, %d raised knobs", prefetched, raised)
+	if prefetched == 0 || raised == 0 {
+		t.Fatalf("planned programs hold %d root prefetches and %d raised knobs; want each at least once", prefetched, raised)
 	}
 }

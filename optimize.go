@@ -88,16 +88,20 @@ type Result struct {
 	PredictedMinibatchesPerSec float64 `json:"predicted_minibatches_per_sec,omitempty"`
 	// VerifyObservedMinibatchesPerSec is the verifying trace's observed
 	// rate (plan-first only) — the observation PredictionError is computed
-	// against. It equals FinalObservedMinibatchesPerSec unless greedy
-	// refinement ran afterwards.
+	// against: a fill epoch of the planned program, over the same file
+	// sample as the plan trace when one was read. It equals
+	// FinalObservedMinibatchesPerSec unless greedy refinement ran afterwards.
 	VerifyObservedMinibatchesPerSec float64 `json:"verify_observed_minibatches_per_sec,omitempty"`
 	// PredictionError is |observed - predicted| / predicted between the
 	// verifying trace and PredictedMinibatchesPerSec (plan-first only).
+	// A sampled verify runs on a private cold cache store, so a warm
+	// Options.Caches cannot turn the predicted fill epoch into a serve.
 	PredictionError float64 `json:"prediction_error,omitempty"`
 	// TracesUsed counts the traces this run consumed — the cost the
-	// predictive planner exists to minimize. The plan-first plan trace
-	// reads half of each catalog's files when tracerun.SampleFits allows
-	// (rescaled to the whole dataset by §A); every other trace reads all.
+	// predictive planner exists to minimize. The plan-first plan and verify
+	// traces read half of each catalog's files when tracerun.SampleFits
+	// allows (rescaled to the whole dataset by §A); greedy and refinement
+	// traces read all.
 	TracesUsed int `json:"traces_used"`
 }
 
@@ -162,10 +166,11 @@ func Optimize(g *pipeline.Graph, budget Budget, opts Options) (*Result, error) {
 // optimizePlanFirst implements ModePlanFirst: 1 trace -> plan -> apply ->
 // 1 verifying trace -> bounded greedy refinement only on a prediction miss.
 func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Options) error {
-	// Only the plan trace may read a file sample (see Result.TracesUsed).
-	planOpts := opts
-	planOpts.fileSample = tracerun.SampleFits(cur)
-	an, err := traceAnalyze(res, cur, planOpts)
+	// The plan and verify traces read the file sample under one decision:
+	// ApplyPlan changes neither the source catalogs nor the root batch
+	// size that SampleFits reads (see Result.TracesUsed).
+	opts.fileSample = tracerun.SampleFits(cur)
+	an, err := traceAnalyze(res, cur, opts)
 	if err != nil {
 		return fmt.Errorf("plumber: plan trace: %w", err)
 	}
@@ -190,9 +195,9 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 	// spuriously trigger refinement. Without Spin the modeled CPU is
 	// virtual (only accounted), real work is the per-element engine
 	// overhead that parallelizes with the knobs, and the budget's cores
-	// are the honest predictor. The verify trace is a fill epoch (any
-	// planned cache starts cold, and — sharing the run's CacheStore — is
-	// warm afterwards).
+	// are the honest predictor. The prediction is a fill epoch: a sampled
+	// verify runs on a private cold store, and a full-pass verify on the
+	// run's CacheStore, which is cold unless the caller passed a warm one.
 	verifyCores := budget.Cores
 	if opts.Spin {
 		if n := runtime.NumCPU(); n > 0 && n < verifyCores {
@@ -230,7 +235,8 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 		res.PredictionError > opts.RefineTolerance {
 		// Observation missed the prediction: fall back to the greedy loop
 		// for a bounded number of steps, reusing the verify trace's
-		// analysis as its first step.
+		// analysis as its first step. Refinement traces are full passes.
+		opts.fileSample = false
 		cur, err = greedyLoop(res, cur, budget, opts, opts.MaxRefineSteps, an2)
 		if err != nil {
 			return fmt.Errorf("plumber: plan refine: %w", err)

@@ -59,8 +59,8 @@ type Options struct {
 	// throughput reflects the cost model.
 	Spin bool
 	// MaxMinibatches caps each trace's drain; 0 drains to EOF, one pass
-	// over a finite pipeline — for Optimize's plan trace, possibly over a
-	// file sample (see Result.TracesUsed).
+	// over a finite pipeline — for Optimize's plan and verify traces,
+	// possibly over a file sample (see Result.TracesUsed).
 	MaxMinibatches int64
 	// Mode selects Optimize's strategy; the zero value means ModePlanFirst
 	// (one trace, one-shot joint allocation, one verifying trace).
@@ -86,11 +86,13 @@ type Options struct {
 	// re-instantiations (and across separate Trace calls). Optimize
 	// defaults to one shared store per call, so a cache inserted at step k
 	// is warm when step k+1 traces; stale entries are invalidated by the
-	// engine when a rewrite touches the chain below them.
+	// engine when a rewrite touches the chain below them. Traces over a
+	// file sample never read or fill it: they run on a private store.
 	Caches *engine.CacheStore
 
 	// fileSample makes Trace pass over the file sample
-	// (engine.Options.FileSample); only Optimize's plan trace sets it.
+	// (engine.Options.FileSample); only Optimize's plan-first plan and
+	// verify traces set it.
 	fileSample bool
 }
 

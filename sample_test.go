@@ -163,60 +163,101 @@ func TestSampledTraceKeepsSharedStoreWarm(t *testing.T) {
 	}
 }
 
-// TestOptimizeSampledPlanKeepsCacheCold runs Optimize on a program that
-// already holds a cache, with one cold CacheStore shared by the call and a
-// later drain: the verify trace must read the whole catalog from storage
-// (not a half entry the sampled plan trace filled), and the drain of the
-// tuned program must deliver the whole catalog.
-func TestOptimizeSampledPlanKeepsCacheCold(t *testing.T) {
-	src, reg, g, catalogBytes, sampleBytes := sampleSetup(t)
-	store := engine.NewCacheStore()
-	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store}
-	total := int64(sampleCatalog.NumFiles * sampleCatalog.RecordsPerFile)
-
+// optimizeServed runs Optimize on g and returns its result and the bytes
+// it read from src.
+func optimizeServed(t *testing.T, g *pipeline.Graph, src Connector, budget Budget, opts Options) (*Result, int64) {
+	t.Helper()
 	var res *Result
 	got := served(src, func() {
 		var err error
-		if res, err = Optimize(g, Budget{Cores: 2, MemoryBytes: 64 << 20}, opts); err != nil {
+		if res, err = Optimize(g, budget, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if res.TracesUsed < 2 {
+	t.Logf("Optimize: %d traces, prediction error %.3f, %d bytes read", res.TracesUsed, res.PredictionError, got)
+	return res, got
+}
+
+// TestOptimizeSampledPlanKeepsCacheCold runs Optimize on a program that
+// already holds a cache, with one cold CacheStore shared by the call and a
+// later drain: the plan and verify traces each read exactly the file
+// sample, on private stores, so the caller's store holds nothing
+// afterwards and a drain of the tuned program reads and delivers the
+// whole catalog.
+func TestOptimizeSampledPlanKeepsCacheCold(t *testing.T) {
+	src, reg, g, catalogBytes, sampleBytes := sampleSetup(t)
+	store := engine.NewCacheStore()
+	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store, RefineTolerance: -1}
+	total := int64(sampleCatalog.NumFiles * sampleCatalog.RecordsPerFile)
+
+	res, got := optimizeServed(t, g, src, Budget{Cores: 2, MemoryBytes: 64 << 20}, opts)
+	if res.TracesUsed != 2 {
 		t.Fatalf("TracesUsed = %d, want the plan and verify traces", res.TracesUsed)
 	}
-	if want := sampleBytes + catalogBytes; got < want {
-		t.Fatalf("Optimize read %d bytes, want at least %d: the sampled plan trace (%d) and a full verify trace (%d)",
-			got, want, sampleBytes, catalogBytes)
+	if got != 2*sampleBytes {
+		t.Fatalf("Optimize read %d bytes, want exactly the plan and verify traces' samples (2 x %d)", got, sampleBytes)
 	}
-	if got := drainExamples(t, res.Final, src, opts, store); got != total {
-		t.Fatalf("drain of the tuned program delivered %d examples, want %d", got, total)
+	if held := store.Bytes(); held != 0 {
+		t.Fatalf("caller's store holds %d bytes after Optimize, want 0: a sample filled it", held)
+	}
+	var examples int64
+	if got := served(src, func() { examples = drainExamples(t, res.Final, src, opts, store) }); got != catalogBytes {
+		t.Fatalf("drain of the tuned program read %d bytes, want the whole catalog's %d", got, catalogBytes)
+	}
+	if examples != total {
+		t.Fatalf("drain of the tuned program delivered %d examples, want %d", examples, total)
 	}
 }
 
 // TestOptimizeFromWarmStore runs Optimize with a shared store already warm
-// from a full drain of the program: the sampled plan trace runs on a
-// private store, so it reads only its own sample from storage and leaves
-// the warm entry for the verify trace and a later drain.
+// from a full drain of the program: both sampled traces run on private
+// stores, so they read exactly their own samples from storage, the warm
+// entry keeps its bytes, and a later drain is served from it entirely.
 func TestOptimizeFromWarmStore(t *testing.T) {
 	src, reg, g, _, sampleBytes := sampleSetup(t)
 	store := engine.NewCacheStore()
-	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store}
+	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store, RefineTolerance: -1}
 	total := int64(sampleCatalog.NumFiles * sampleCatalog.RecordsPerFile)
 	if got := drainExamples(t, g, src, opts, store); got != total {
 		t.Fatalf("warm-up drain delivered %d examples, want %d", got, total)
 	}
+	warm := store.Bytes()
 
-	var res *Result
-	got := served(src, func() {
-		var err error
-		if res, err = Optimize(g, Budget{Cores: 1, MemoryBytes: 64 << 20}, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got != sampleBytes {
-		t.Fatalf("Optimize read %d bytes from storage, want only the plan trace's sample (%d)", got, sampleBytes)
+	res, got := optimizeServed(t, g, src, Budget{Cores: 1, MemoryBytes: 64 << 20}, opts)
+	if res.TracesUsed != 2 {
+		t.Fatalf("TracesUsed = %d, want the plan and verify traces", res.TracesUsed)
 	}
-	if got := drainExamples(t, res.Final, src, opts, store); got != total {
-		t.Fatalf("drain of the tuned program delivered %d examples, want %d", got, total)
+	if got != 2*sampleBytes {
+		t.Fatalf("Optimize read %d bytes from storage, want exactly the plan and verify traces' samples (2 x %d)", got, sampleBytes)
+	}
+	if held := store.Bytes(); held != warm {
+		t.Fatalf("caller's store holds %d bytes after Optimize, want the warm entry's %d", held, warm)
+	}
+	var examples int64
+	if got := served(src, func() { examples = drainExamples(t, res.Final, src, opts, store) }); got != 0 {
+		t.Fatalf("drain of the tuned program read %d bytes from storage, want a warm cache", got)
+	}
+	if examples != total {
+		t.Fatalf("drain of the tuned program delivered %d examples, want %d", examples, total)
+	}
+}
+
+// TestOptimizeWarmStoreVerifiesFillEpoch runs Optimize twice on one caller
+// store. The verify checks a fill-epoch prediction, so the second call's
+// verify must be a cold pass over its own sample, not a serve from an
+// entry the first call left warm: the second call reads exactly the plan
+// trace's sample plus the verify's.
+func TestOptimizeWarmStoreVerifiesFillEpoch(t *testing.T) {
+	src, reg, g, _, sampleBytes := sampleSetup(t)
+	store := engine.NewCacheStore()
+	opts := Options{Source: src, UDFs: reg, WorkScale: 1, Caches: store, RefineTolerance: -1}
+	budget := Budget{Cores: 1, MemoryBytes: 64 << 20}
+	first, _ := optimizeServed(t, g, src, budget, opts)
+	second, got := optimizeServed(t, g, src, budget, opts)
+	if first.TracesUsed != 2 || second.TracesUsed != 2 {
+		t.Fatalf("TracesUsed = %d then %d, want the plan and verify traces", first.TracesUsed, second.TracesUsed)
+	}
+	if got != 2*sampleBytes {
+		t.Fatalf("second Optimize read %d bytes, want a cold verify: the plan and verify traces' samples (2 x %d)", got, sampleBytes)
 	}
 }
